@@ -21,7 +21,7 @@ int main() {
     for (const auto& cloud : clouds) {
       AttackConfig config = base_config(AttackNorm::kBounded, AttackField::kColor);
       config.steps = steps;
-      const AttackResult r = run_attack(*model, cloud, config);
+      const AttackResult r = AttackEngine(*model, config).run(cloud);
       acc += evaluate_segmentation(r.predictions, cloud.labels, 13).accuracy;
       l2 += r.l2_color;
     }
@@ -35,7 +35,7 @@ int main() {
     for (const auto& cloud : clouds) {
       AttackConfig config = base_config(AttackNorm::kUnbounded, AttackField::kColor);
       config.cw_steps = steps;
-      const AttackResult r = run_attack(*model, cloud, config);
+      const AttackResult r = AttackEngine(*model, config).run(cloud);
       acc += evaluate_segmentation(r.predictions, cloud.labels, 13).accuracy;
       l2 += r.l2_color;
     }

@@ -24,7 +24,7 @@ int main() {
   for (size_t i = 0; i < clouds.size(); ++i) {
     const auto& cloud = clouds[i];
     const auto clean_pred = model->predict(cloud);
-    const AttackResult adv = run_attack(*model, cloud, config);
+    const AttackResult adv = AttackEngine(*model, config).run(cloud);
 
     const int w = 220, h = 220;
     const Image panel = Image::hstack({

@@ -33,7 +33,7 @@ int main() {
   config.success_psr = 0.98f;
 
   const auto clean_pred = model->predict(cloud);
-  const AttackResult adv = run_attack(*model, cloud, config);
+  const AttackResult adv = AttackEngine(*model, config).run(cloud);
 
   const int w = 260, h = 260;
   const Image panel = Image::hstack({

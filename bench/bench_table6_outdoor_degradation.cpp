@@ -25,7 +25,7 @@ int main() {
   unbounded.success_accuracy = 1.0f / 8.0f;  // 8 outdoor classes
   std::vector<CaseRecord> unb_records, noise_records;
   for (size_t i = 0; i < clouds.size(); ++i) {
-    const AttackResult adv = run_attack(*model, clouds[i], unbounded);
+    const AttackResult adv = AttackEngine(*model, unbounded).run(clouds[i]);
     const SegMetrics m = evaluate_segmentation(adv.predictions, clouds[i].labels, 8);
     unb_records.push_back({adv.l2_color, m.accuracy, m.aiou});
     const AttackResult noise =

@@ -40,7 +40,7 @@ int main() {
   TransferRow rg_self_attack, rg_to_pn;
   for (const auto& cloud : clouds) {
     // Upper block: PN++(pre-trained) -> PN++(self-trained).
-    const AttackResult adv_pn = run_attack(*pn_pre, cloud, config);
+    const AttackResult adv_pn = AttackEngine(*pn_pre, config).run(cloud);
     const SegMetrics m_self = evaluate_segmentation(adv_pn.predictions, cloud.labels, 13);
     pre_self_attack.acc += m_self.accuracy;
     pre_self_attack.aiou += m_self.aiou;
@@ -49,7 +49,7 @@ int main() {
     self_transfer.aiou += m_tr.aiou;
 
     // Lower block: ResGCN -> PN++ (cross-family).
-    const AttackResult adv_rg = run_attack(*resgcn, cloud, config);
+    const AttackResult adv_rg = AttackEngine(*resgcn, config).run(cloud);
     const SegMetrics m_rg = evaluate_segmentation(adv_rg.predictions, cloud.labels, 13);
     rg_self_attack.acc += m_rg.accuracy;
     rg_self_attack.aiou += m_rg.aiou;

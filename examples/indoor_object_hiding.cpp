@@ -41,14 +41,14 @@ int main() {
 
   // The engine validates the config against the model (target class in
   // range, mask present) and reports optimization progress through the
-  // observer callback.
-  AttackEngine engine(*model, config);
-  engine.set_observer([](const AttackProgress& p) {
+  // observer callback of its execution policy.
+  ExecPolicy policy;
+  policy.observer = [](const AttackProgress& p) {
     if (p.step % 25 == 0) {
       std::printf("  step %3d: PSR=%5.1f%%\n", p.step, 100.0 * p.gain);
     }
-  });
-  const AttackResult result = engine.run(cloud);
+  };
+  const AttackResult result = AttackEngine(*model, config).run(cloud, policy);
   const double psr = point_success_rate(result.predictions, config.target_mask, target);
   const SegMetrics oob = evaluate_oob(result.predictions, cloud.labels, 13,
                                       config.target_mask);

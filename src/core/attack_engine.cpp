@@ -891,14 +891,6 @@ void AttackEngine::emit(const ExecPolicy& policy, const AttackProgress& event) c
   policy.observer(event);
 }
 
-AttackResult AttackEngine::run(const PointCloud& cloud) const {
-  return run(cloud, config_.seed, setter_policy());
-}
-
-AttackResult AttackEngine::run(const PointCloud& cloud, std::uint64_t seed) const {
-  return run(cloud, seed, setter_policy());
-}
-
 AttackResult AttackEngine::run(const PointCloud& cloud, const ExecPolicy& policy) const {
   return run(cloud, config_.seed, policy);
 }
@@ -907,11 +899,6 @@ AttackResult AttackEngine::run(const PointCloud& cloud, std::uint64_t seed,
                                const ExecPolicy& policy) const {
   ScopedParamFreeze freeze(model_);
   return attack_cloud(cloud, seed, 0, policy);
-}
-
-std::vector<AttackResult> AttackEngine::run_batch(
-    std::span<const PointCloud> clouds) const {
-  return run_batch(clouds, setter_policy());
 }
 
 std::vector<AttackResult> AttackEngine::run_batch(std::span<const PointCloud> clouds,
@@ -993,49 +980,29 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
       plan_fallbacks.add(1);
     }
 
-    if (plan.valid()) {
+    // One step body for both modes. With a live plan the forward and
+    // backward passes replay its flat schedule and the step graph is not
+    // rebuilt; otherwise the step runs eagerly and, with plans enabled, is
+    // recorded for replay by the builder.
+    const bool replay = plan.valid();
+    std::optional<tplan::PlanBuilder> builder;
+    if (!replay && plan_enabled) builder.emplace();
+    Tensor logits;
+    if (replay) {
       plan_replays.add(1);
       if (plan_compat == PlanCompat::kRefreshLeaves) {
         // Values live in raw projection storage; copy them back into the
         // captured leaf tensors (and zero their grads) before replaying.
         (void)projection->make_deltas();
       }
-      {
-        obs::trace::ScopedSpan span(kForwardSpan);
-        plan.replay_forward();
-      }
-      const std::vector<int> pred = ops::argmax_rows(plan_logits);
-      const double gain = objective->gain(pred, cloud, mask, model_.num_classes());
-      projection->observe_gain(gain);
-      emit(policy, {cloud_index, step, gain});
-
-      const StepAction action = stop->on_gain(step, gain, objective->converged(gain));
-      if (action == StepAction::kStop) break;
-
-      step_rule->zero_grad(*projection);
-      {
-        obs::trace::ScopedSpan span(kBackwardSpan);
-        plan.replay_backward();
-      }
-      {
-        obs::trace::ScopedSpan span(kProjectionSpan);
-        step_rule->apply(*projection);
-        projection->project();
-        if (action == StepAction::kRestart) projection->random_restart(rng);
-        projection->post_step();
-      }
-      continue;
-    }
-
-    std::optional<tplan::PlanBuilder> builder;
-    if (plan_enabled) builder.emplace();
-    FieldDeltas deltas = projection->make_deltas();
-    ModelInput input{&cloud, deltas.color, deltas.coord};
-    Tensor logits = [&] {
       obs::trace::ScopedSpan span(kForwardSpan);
-      return model_.forward(input, /*training=*/false);
-    }();
-    const std::vector<int> pred = ops::argmax_rows(logits);
+      plan.replay_forward();
+    } else {
+      const FieldDeltas deltas = projection->make_deltas();
+      obs::trace::ScopedSpan span(kForwardSpan);
+      logits = model_.forward({&cloud, deltas.color, deltas.coord}, /*training=*/false);
+    }
+    const std::vector<int> pred = ops::argmax_rows(replay ? plan_logits : logits);
     const double gain = objective->gain(pred, cloud, mask, model_.num_classes());
     projection->observe_gain(gain);
     emit(policy, {cloud_index, step, gain});
@@ -1043,14 +1010,19 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
     const StepAction action = stop->on_gain(step, gain, objective->converged(gain));
     if (action == StepAction::kStop) break;  // builder dtor aborts the capture
 
-    Tensor loss = [&] {
+    Tensor loss;
+    if (!replay) {
       obs::trace::ScopedSpan span(kObjectiveSpan);
-      return projection->total_loss(objective->loss(logits, cloud, mask));
-    }();
+      loss = projection->total_loss(objective->loss(logits, cloud, mask));
+    }
     step_rule->zero_grad(*projection);
     {
       obs::trace::ScopedSpan span(kBackwardSpan);
-      loss.backward();
+      if (replay) {
+        plan.replay_backward();
+      } else {
+        loss.backward();
+      }
     }
     if (builder) {
       if (builder->finish(plan)) {
@@ -1080,10 +1052,6 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
   result.predictions = model_.predict(result.perturbed);
   measure_perturbation(cloud, result.perturbed, result);
   return result;
-}
-
-SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds) const {
-  return run_shared(clouds, setter_policy());
 }
 
 SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
@@ -1159,31 +1127,31 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
     pool.run(clouds.size(), [&](std::size_t ci) {
       obs::trace::ScopedSpan grad_span(kGradSpan);
       Tensor& delta = deltas[ci];
-      if (plans[ci].valid()) {
-        plan_replays.add(1);
-        std::copy(result.color_delta.begin(), result.color_delta.end(), delta.data());
-        plans[ci].replay_forward();
-        plans[ci].replay_backward();
-        losses[ci] = plan_losses[ci].item();
-        return;
-      }
+      tplan::CompiledPlan& plan = plans[ci];
+      const bool replay = plan.valid();
       std::optional<tplan::PlanBuilder> builder;
-      if (plans_enabled && !plan_dead[ci]) builder.emplace();
+      if (!replay && plans_enabled && !plan_dead[ci]) builder.emplace();
       if (!delta.defined()) {
         delta = Tensor::from_data({n, 3}, result.color_delta);
         delta.set_requires_grad(true);
       } else {
         std::copy(result.color_delta.begin(), result.color_delta.end(), delta.data());
-        delta.zero_grad();
+        if (!replay) delta.zero_grad();
       }
-      ModelInput input{&clouds[ci], delta, {}};
-      Tensor logits = model_.forward(input, /*training=*/false);
-      Tensor loss = ops::hinge_margin_loss(logits, clouds[ci].labels, {},
-                                           /*targeted=*/false);
-      loss.backward();
-      losses[ci] = loss.item();
+      Tensor logits;
+      Tensor loss;
+      if (replay) {
+        plan_replays.add(1);
+        plan.replay_forward();
+        plan.replay_backward();
+      } else {
+        logits = model_.forward(ModelInput{&clouds[ci], delta, {}}, /*training=*/false);
+        loss = ops::hinge_margin_loss(logits, clouds[ci].labels, {}, /*targeted=*/false);
+        loss.backward();
+      }
+      losses[ci] = (replay ? plan_losses[ci] : loss).item();
       if (builder) {
-        if (builder->finish(plans[ci])) {
+        if (builder->finish(plan)) {
           plan_losses[ci] = loss;
           plan_captures.add(1);
         } else {

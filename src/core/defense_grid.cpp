@@ -43,9 +43,8 @@ DefenseGridResult evaluate_defense_grid(SegmentationModel& source,
       // Same convention as the runner's shards: cloud g always runs on
       // RNG stream config.seed + g, for any cloud_index_base split.
       config.seed += options.cloud_index_base;
-      AttackEngine engine(source, config);
-      engine.set_num_threads(options.num_threads);
-      std::vector<AttackResult> attacked = engine.run_batch(clouds);
+      std::vector<AttackResult> attacked =
+          AttackEngine(source, config).run_batch(clouds, options.policy);
       adversarial[ai].reserve(attacked.size());
       for (AttackResult& r : attacked) {
         trace.l2_color.push_back(r.l2_color);

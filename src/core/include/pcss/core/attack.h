@@ -97,16 +97,6 @@ struct AttackResult {
   std::int64_t l0_coord = 0;
 };
 
-/// Runs the configured attack against `model` on `cloud`.
-/// White-box: gradients are taken through the model's own input
-/// normalization (Eq. 7 handled per field inside).
-///
-/// Compatibility wrapper over pcss::core::AttackEngine (attack_engine.h):
-/// equivalent to `AttackEngine(model, config).run(cloud)`. Prefer the
-/// engine for batched, multi-cloud, or custom-strategy attacks.
-AttackResult run_attack(SegmentationModel& model, const PointCloud& cloud,
-                        const AttackConfig& config);
-
 /// Random-noise baseline (§V-C): Gaussian color noise scaled to a target
 /// L2 magnitude, projected into valid color range.
 AttackResult random_noise_baseline(SegmentationModel& model, const PointCloud& cloud,
@@ -118,7 +108,8 @@ void measure_perturbation(const PointCloud& original, const PointCloud& perturbe
 
 /// Applies raw-unit deltas (each [N*3] or null for "untouched") to a
 /// cloud; colors are clamped to [0,1] since invalid adversarial colors
-/// cannot exist physically.
+/// cannot exist physically. Throws std::invalid_argument when a non-null
+/// delta does not hold exactly 3 values per point.
 PointCloud apply_field_deltas(const PointCloud& cloud, const std::vector<float>* color_delta,
                               const std::vector<float>* coord_delta);
 

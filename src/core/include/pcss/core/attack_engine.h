@@ -205,7 +205,7 @@ using ProgressObserver = std::function<void(const AttackProgress&)>;
 struct ExecPolicy {
   int threads = 0;    ///< worker threads for batched modes (0 = hardware)
   bool plan = true;   ///< allow compiled-plan capture/replay (plan.h)
-  ProgressObserver observer;  ///< per-step progress tap (may be empty)
+  ProgressObserver observer{};  ///< per-step progress tap (may be empty)
 };
 
 /// Result of the shared-delta ("universal") mode: one color perturbation
@@ -241,20 +241,11 @@ class AttackEngine {
   const AttackConfig& config() const { return config_; }
   SegmentationModel& model() const { return model_; }
 
-  /// Worker threads for run_batch / run_shared. 0 = hardware concurrency.
-  /// Legacy setter: equivalent to passing ExecPolicy{num_threads, ...}.
-  void set_num_threads(int num_threads) { num_threads_ = num_threads; }
-  void set_observer(ProgressObserver observer) { observer_ = std::move(observer); }
-
   /// Attacks one cloud with the configured seed.
-  AttackResult run(const PointCloud& cloud) const;
+  AttackResult run(const PointCloud& cloud, const ExecPolicy& policy = {}) const;
   /// Attacks one cloud with an explicit RNG seed (overrides config.seed).
-  AttackResult run(const PointCloud& cloud, std::uint64_t seed) const;
-  /// Policy-carrying variants. The setter-based signatures above are thin
-  /// bit-exact wrappers over these (policy built from the setters).
-  AttackResult run(const PointCloud& cloud, const ExecPolicy& policy) const;
   AttackResult run(const PointCloud& cloud, std::uint64_t seed,
-                   const ExecPolicy& policy) const;
+                   const ExecPolicy& policy = {}) const;
 
   /// Attacks every cloud independently across the worker pool.
   ///
@@ -263,9 +254,8 @@ class AttackEngine {
   /// same thing in each cloud. For per-cloud masks (e.g. object hiding
   /// on unrelated scenes), build one engine per mask as bench_hiding.h
   /// does; a cloud whose size does not match the mask throws.
-  std::vector<AttackResult> run_batch(std::span<const PointCloud> clouds) const;
   std::vector<AttackResult> run_batch(std::span<const PointCloud> clouds,
-                                      const ExecPolicy& policy) const;
+                                      const ExecPolicy& policy = {}) const;
 
   /// Optimizes one shared color delta against all clouds jointly (the
   /// min-max "universal" formulation, §VI limitation 4). Clouds must be
@@ -275,14 +265,10 @@ class AttackEngine {
   /// (steps, epsilon, step_size) regardless of config.norm and throws if
   /// they are not positive. Progress observers are not invoked (the
   /// shared loop has no per-cloud Objective::gain to report).
-  SharedDeltaResult run_shared(std::span<const PointCloud> clouds) const;
   SharedDeltaResult run_shared(std::span<const PointCloud> clouds,
-                               const ExecPolicy& policy) const;
+                               const ExecPolicy& policy = {}) const;
 
  private:
-  /// The policy the legacy setter-based entry points are equivalent to.
-  ExecPolicy setter_policy() const { return {num_threads_, true, observer_}; }
-
   AttackResult attack_cloud(const PointCloud& cloud, std::uint64_t seed,
                             std::size_t cloud_index, const ExecPolicy& policy) const;
   void emit(const ExecPolicy& policy, const AttackProgress& event) const;
@@ -291,11 +277,9 @@ class AttackEngine {
   SegmentationModel& model_;
   AttackConfig config_;
   AttackRecipe recipe_;
-  ProgressObserver observer_;
-  // GUARDS: observer_ invocations (serializes per-cloud progress callbacks
-  // fired from concurrent worker threads during run_batch/run_shared)
+  // GUARDS: policy observer invocations (serializes per-cloud progress
+  // callbacks fired from concurrent worker threads during run_batch)
   mutable std::mutex observer_mutex_;
-  int num_threads_ = 0;
 };
 
 // ---------------------------------------------------------------------------

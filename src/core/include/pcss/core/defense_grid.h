@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "pcss/core/attack.h"
+#include "pcss/core/attack_engine.h"
 #include "pcss/core/defense_stage.h"
 
 namespace pcss::core {
@@ -74,8 +74,9 @@ struct DefenseGridOptions {
   /// attack RNG (config.seed + global index) and defense streams are
   /// invariant under any partitioning of the cloud list.
   std::size_t cloud_index_base = 0;
-  /// AttackEngine workers for the attack columns. 0 = hardware.
-  int num_threads = 0;
+  /// How the attack columns execute (threads, compiled plans). Never
+  /// changes the result.
+  ExecPolicy policy;
 };
 
 /// Runs every non-clean attack column once on `source` (batched, RNG

@@ -405,7 +405,7 @@ ShardData compute_grid_shard(const GridSetup& setup, const ExperimentSpec& spec,
   pcss::core::DefenseGridOptions grid_options;
   grid_options.defense_seed = spec.defense_seed;
   grid_options.cloud_index_base = offset;
-  grid_options.num_threads = options.num_threads;
+  grid_options.policy = shard_policy(options);
   const pcss::core::DefenseGridResult result = pcss::core::evaluate_defense_grid(
       *setup.source, setup.victims, clouds.subspan(offset, count), setup.attacks,
       setup.defenses, grid_options);

@@ -1,5 +1,5 @@
 // AttackEngine contract tests: strategy-composition equivalence with the
-// legacy run_attack wrapper across all 8 paper configurations, batched
+// default recipe across all 8 paper configurations, batched
 // determinism under different thread counts, config validation, the
 // shared-delta mode, and observer/recipe pluggability.
 #include <gtest/gtest.h>
@@ -12,9 +12,9 @@
 
 #include "pcss/core/attack_engine.h"
 #include "pcss/core/metrics.h"
-#include "pcss/core/universal.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"
+#include "pcss/obs/metrics.h"
 
 using namespace pcss::core;
 using pcss::data::IndoorClass;
@@ -70,8 +70,8 @@ void expect_bit_identical(const AttackResult& a, const AttackResult& b) {
   EXPECT_EQ(a.steps_used, b.steps_used);
   for (std::int64_t i = 0; i < a.perturbed.size(); ++i) {
     for (int axis = 0; axis < 3; ++axis) {
-      // Exact float equality: the engine and the wrapper must execute
-      // the same arithmetic in the same order.
+      // Exact float equality: both runs must execute the same
+      // arithmetic in the same order.
       EXPECT_EQ(a.perturbed.colors[static_cast<size_t>(i)][axis],
                 b.perturbed.colors[static_cast<size_t>(i)][axis])
           << "color mismatch at point " << i;
@@ -94,7 +94,7 @@ class EngineEquivalence
       public ::testing::WithParamInterface<
           std::tuple<AttackObjective, AttackNorm, AttackField>> {};
 
-TEST_P(EngineEquivalence, EngineMatchesLegacyWrapperBitExactly) {
+TEST_P(EngineEquivalence, ComposedRecipeMatchesDefaultRecipeBitExactly) {
   const auto [objective, norm, field] = GetParam();
   AttackConfig config;
   config.objective = objective;
@@ -108,8 +108,8 @@ TEST_P(EngineEquivalence, EngineMatchesLegacyWrapperBitExactly) {
         mask_for_class(cloud_->labels, static_cast<int>(IndoorClass::kWindow));
   }
 
-  // The legacy free function (now a compatibility wrapper)...
-  const AttackResult legacy = run_attack(*model_, *cloud_, config);
+  // The config-derived default recipe...
+  const AttackResult by_default = AttackEngine(*model_, config).run(*cloud_);
   // ...versus an engine whose recipe is assembled strategy-by-strategy
   // from the public factories rather than derived from the config.
   AttackRecipe recipe;
@@ -135,7 +135,7 @@ TEST_P(EngineEquivalence, EngineMatchesLegacyWrapperBitExactly) {
   const AttackEngine engine(*model_, config, std::move(recipe));
   const AttackResult composed = engine.run(*cloud_);
 
-  expect_bit_identical(legacy, composed);
+  expect_bit_identical(by_default, composed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,13 +154,9 @@ TEST_F(EngineFixture, RunBatchDeterministicAcrossThreadCounts) {
   config.norm = AttackNorm::kBounded;
   config.steps = 3;
 
-  AttackEngine sequential(*model_, config);
-  sequential.set_num_threads(1);
-  const auto seq = sequential.run_batch(*clouds_);
-
-  AttackEngine pooled(*model_, config);
-  pooled.set_num_threads(2);
-  const auto par = pooled.run_batch(*clouds_);
+  const AttackEngine engine(*model_, config);
+  const auto seq = engine.run_batch(*clouds_, {.threads = 1});
+  const auto par = engine.run_batch(*clouds_, {.threads = 2});
 
   ASSERT_EQ(seq.size(), clouds_->size());
   ASSERT_EQ(par.size(), clouds_->size());
@@ -189,12 +185,9 @@ TEST_F(EngineFixture, RunBatchUnboundedDeterministicAcrossThreadCounts) {
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 4;
 
-  AttackEngine sequential(*model_, config);
-  sequential.set_num_threads(1);
-  AttackEngine pooled(*model_, config);
-  pooled.set_num_threads(2);
-  const auto seq = sequential.run_batch(*clouds_);
-  const auto par = pooled.run_batch(*clouds_);
+  const AttackEngine engine(*model_, config);
+  const auto seq = engine.run_batch(*clouds_, {.threads = 1});
+  const auto par = engine.run_batch(*clouds_, {.threads = 2});
   for (size_t i = 0; i < seq.size(); ++i) {
     SCOPED_TRACE("cloud " + std::to_string(i));
     expect_bit_identical(seq[i], par[i]);
@@ -262,28 +255,12 @@ TEST_F(EngineFixture, RunRejectsMismatchedMask) {
 // Shared-delta ("universal") mode.
 // ---------------------------------------------------------------------------
 
-TEST_F(EngineFixture, RunSharedMatchesUniversalWrapper) {
-  AttackConfig config;
-  config.steps = 4;
-  config.epsilon = 0.2f;
-  const AttackEngine engine(*model_, config);
-  const SharedDeltaResult shared = engine.run_shared(*clouds_);
-  const UniversalAttackResult wrapped = universal_color_attack(*model_, *clouds_, config);
-  EXPECT_EQ(shared.color_delta, wrapped.color_delta);
-  EXPECT_EQ(shared.accuracy_before, wrapped.accuracy_before);
-  EXPECT_EQ(shared.accuracy_after, wrapped.accuracy_after);
-  EXPECT_EQ(shared.steps_used, wrapped.steps_used);
-}
-
 TEST_F(EngineFixture, RunSharedDeterministicAcrossThreadCounts) {
   AttackConfig config;
   config.steps = 4;
-  AttackEngine sequential(*model_, config);
-  sequential.set_num_threads(1);
-  AttackEngine pooled(*model_, config);
-  pooled.set_num_threads(2);
-  const SharedDeltaResult seq = sequential.run_shared(*clouds_);
-  const SharedDeltaResult par = pooled.run_shared(*clouds_);
+  const AttackEngine engine(*model_, config);
+  const SharedDeltaResult seq = engine.run_shared(*clouds_, {.threads = 1});
+  const SharedDeltaResult par = engine.run_shared(*clouds_, {.threads = 2});
   EXPECT_EQ(seq.color_delta, par.color_delta);
   EXPECT_EQ(seq.accuracy_after, par.accuracy_after);
   EXPECT_EQ(seq.steps_used, par.steps_used);
@@ -307,15 +284,29 @@ TEST_F(EngineFixture, ObserverSeesEveryStep) {
   AttackConfig config;
   config.norm = AttackNorm::kBounded;
   config.steps = 5;
-  AttackEngine engine(*model_, config);
-  std::vector<int> steps_seen;
-  engine.set_observer([&](const AttackProgress& p) {
-    EXPECT_EQ(p.cloud_index, 0u);
-    steps_seen.push_back(p.step);
-  });
-  const AttackResult result = engine.run(*cloud_);
-  ASSERT_EQ(static_cast<int>(steps_seen.size()), result.steps_used);
-  for (int s = 0; s < result.steps_used; ++s) EXPECT_EQ(steps_seen[static_cast<size_t>(s)], s);
+  const AttackEngine engine(*model_, config);
+  // Plan on: step 0 runs eagerly (and is captured), later steps replay;
+  // plan off: every step is eager. Both must report every step.
+  for (const bool plan : {true, false}) {
+    SCOPED_TRACE(plan ? "plan" : "eager");
+    const auto& replays = pcss::obs::metrics::counter("plan.replays");
+    const std::uint64_t replays0 = replays.value();
+    std::vector<int> steps_seen;
+    ExecPolicy policy;
+    policy.plan = plan;
+    policy.observer = [&](const AttackProgress& p) {
+      EXPECT_EQ(p.cloud_index, 0u);
+      steps_seen.push_back(p.step);
+    };
+    const AttackResult result = engine.run(*cloud_, policy);
+    ASSERT_EQ(static_cast<int>(steps_seen.size()), result.steps_used);
+    for (int s = 0; s < result.steps_used; ++s) {
+      EXPECT_EQ(steps_seen[static_cast<size_t>(s)], s);
+    }
+    // Every step after the captured one replays.
+    const std::uint64_t want = plan ? static_cast<std::uint64_t>(result.steps_used - 1) : 0;
+    EXPECT_EQ(replays.value() - replays0, want);
+  }
 }
 
 TEST_F(EngineFixture, CustomStopCriterionOverridesBudget) {

@@ -319,11 +319,9 @@ TEST(DefendedModelTest, StochasticSrsBatchIsByteIdenticalAcrossThreadCounts) {
   for (int i = 0; i < 3; ++i) clouds.push_back(scene(96, 20 + static_cast<unsigned>(i)));
 
   const AttackConfig config = small_bounded_config();
-  AttackEngine engine(defended, config);
-  engine.set_num_threads(1);
-  const auto one = engine.run_batch(clouds);
-  engine.set_num_threads(2);
-  const auto two = engine.run_batch(clouds);
+  const AttackEngine engine(defended, config);
+  const auto one = engine.run_batch(clouds, {.threads = 1});
+  const auto two = engine.run_batch(clouds, {.threads = 2});
   ASSERT_EQ(one.size(), two.size());
   for (size_t i = 0; i < one.size(); ++i) {
     EXPECT_TRUE(same_cloud(one[i].perturbed, two[i].perturbed)) << "cloud " << i;
@@ -411,7 +409,7 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
 
   DefenseGridOptions options;
   options.defense_seed = 1234;
-  options.num_threads = 1;
+  options.policy.threads = 1;
   const DefenseGridResult grid = evaluate_defense_grid(
       *source, victims, clouds, attacks, defenses, options);
   ASSERT_EQ(grid.cells.size(), 2u * 2u * 2u);
@@ -464,7 +462,7 @@ TEST(DefenseGridTest, CloudIndexBaseMakesShardingInvisible) {
   defenses.push_back({"srs", srs});
 
   DefenseGridOptions whole;
-  whole.num_threads = 1;
+  whole.policy.threads = 1;
   const DefenseGridResult all =
       evaluate_defense_grid(*source, victims, clouds, attacks, defenses, whole);
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "pcss/core/attack.h"
+#include "pcss/core/attack_engine.h"
 #include "pcss/core/defense.h"
 #include "pcss/core/experiment.h"
 #include "pcss/core/metrics.h"
@@ -80,7 +80,7 @@ TEST_F(PipelineTest, AttackThenDefendPipeline) {
   AttackConfig config;
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 25;
-  const AttackResult adv = run_attack(*model_a_, *cloud_, config);
+  const AttackResult adv = AttackEngine(*model_a_, config).run(*cloud_);
   const double adv_acc =
       evaluate_segmentation(adv.predictions, cloud_->labels, 13).accuracy;
 
@@ -102,7 +102,7 @@ TEST_F(PipelineTest, AdversarialSampleTransfersAcrossSeeds) {
   AttackConfig config;
   config.norm = AttackNorm::kUnbounded;
   config.cw_steps = 25;
-  const AttackResult adv = run_attack(*model_a_, *cloud_, config);
+  const AttackResult adv = AttackEngine(*model_a_, config).run(*cloud_);
   const auto self = evaluate_segmentation(adv.predictions, cloud_->labels, 13);
   const auto transferred = evaluate_transfer(*model_b_, adv.perturbed, 13);
   const auto clean_b = evaluate_transfer(*model_b_, *cloud_, 13);

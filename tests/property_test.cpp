@@ -9,7 +9,7 @@
 #include <tuple>
 
 #include "gradcheck.h"
-#include "pcss/core/attack.h"
+#include "pcss/core/attack_engine.h"
 #include "pcss/core/defense.h"
 #include "pcss/core/metrics.h"
 #include "pcss/data/indoor.h"
@@ -390,7 +390,7 @@ TEST_P(AttackMatrix, RunsAndRespectsFieldIsolation) {
     config.target_mask =
         pcss::core::mask_for_class(cloud_->labels, static_cast<int>(pcss::data::IndoorClass::kWall));
   }
-  const auto result = pcss::core::run_attack(*model_, *cloud_, config);
+  const auto result = pcss::core::AttackEngine(*model_, config).run(*cloud_);
   EXPECT_EQ(static_cast<std::int64_t>(result.predictions.size()), cloud_->size());
   EXPECT_NO_THROW(result.perturbed.validate());
   if (field == AttackField::kColor) {

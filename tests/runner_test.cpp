@@ -6,6 +6,7 @@
 // thread counts and shard sizes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "pcss/obs/metrics.h"
 #include "pcss/runner/executor.h"
 #include "pcss/runner/hash.h"
 #include "pcss/runner/json.h"
@@ -420,6 +422,35 @@ TEST_F(RunnerTest, GridBytesInvariantAcrossThreadsAndShardSizes) {
 
   fs::remove_all(root_ + "-a");
   fs::remove_all(root_ + "-b");
+}
+
+TEST_F(RunnerTest, GridHonorsNoPlan) {
+  // The defense grid's attack columns must run under the shard's
+  // execution policy: with plans off nothing is captured or replayed,
+  // and the document bytes match the plan-on run.
+  TinyProvider provider;
+  const ExperimentSpec spec = mini_grid_spec();
+  const auto& captures = pcss::obs::metrics::counter("plan.captures");
+  const auto& replays = pcss::obs::metrics::counter("plan.replays");
+
+  ResultStore store_on(root_ + "-on");
+  const std::uint64_t captures0 = captures.value();
+  const RunOutcome planned = run_spec(spec, provider, store_on, tiny_options());
+  EXPECT_GT(captures.value() - captures0, 0u) << "plan-on grid must capture";
+
+  ResultStore store_off(root_ + "-off");
+  RunOptions no_plan = tiny_options();
+  no_plan.plan = false;
+  const std::uint64_t captures1 = captures.value();
+  const std::uint64_t replays1 = replays.value();
+  const RunOutcome eager = run_spec(spec, provider, store_off, no_plan);
+  EXPECT_EQ(captures.value() - captures1, 0u);
+  EXPECT_EQ(replays.value() - replays1, 0u);
+  EXPECT_FALSE(eager.cache_hit);
+  EXPECT_EQ(eager.json, planned.json);
+
+  fs::remove_all(root_ + "-on");
+  fs::remove_all(root_ + "-off");
 }
 
 TEST_F(RunnerTest, SidecarReportsPoolAndMetricsForThreadedRuns) {
