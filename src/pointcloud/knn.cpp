@@ -12,6 +12,14 @@ namespace pcss::pointcloud {
 
 namespace {
 
+/// squared_distance() inlined into the search loops (the out-of-line one
+/// costs a call per candidate pair). Same expression and order:
+/// d = a - b, then d0*d0 + d1*d1 + d2*d2 left to right.
+inline float pair_dist_sq(const Vec3& a, const Vec3& b) {
+  const float d0 = a[0] - b[0], d1 = a[1] - b[1], d2 = a[2] - b[2];
+  return d0 * d0 + d1 * d1 + d2 * d2;
+}
+
 /// Bounded max-heap of (distance, index) keeping the k smallest entries.
 class TopK {
  public:
@@ -73,8 +81,8 @@ std::vector<std::int64_t> knn_self_brute(const std::vector<Vec3>& points, int k,
     TopK top(k);
     for (std::int64_t j = 0; j < n; ++j) {
       if (!include_self && j == i) continue;
-      top.offer(squared_distance(points[static_cast<size_t>(i)],
-                                 points[static_cast<size_t>(j)]),
+      top.offer(pair_dist_sq(points[static_cast<size_t>(i)],
+                             points[static_cast<size_t>(j)]),
                 j);
     }
     top.fill_sorted(out.data() + i * k);
@@ -91,8 +99,8 @@ std::vector<std::int64_t> knn_query(const std::vector<Vec3>& reference,
   for (std::int64_t i = 0; i < nq; ++i) {
     TopK top(k);
     for (std::int64_t j = 0; j < static_cast<std::int64_t>(reference.size()); ++j) {
-      top.offer(squared_distance(queries[static_cast<size_t>(i)],
-                                 reference[static_cast<size_t>(j)]),
+      top.offer(pair_dist_sq(queries[static_cast<size_t>(i)],
+                             reference[static_cast<size_t>(j)]),
                 j);
     }
     top.fill_sorted(out.data() + i * k);
@@ -165,7 +173,7 @@ std::vector<std::int64_t> grid_search(const std::vector<Vec3>& points, int k,
       // stop when the current k-th distance cannot be improved.
       const float safe = static_cast<float>(radius) * cell;
       if (top.worst() <= safe * safe) break;
-      if (radius > 0 && safe * safe > squared_distance(box.min, box.max)) break;
+      if (radius > 0 && safe * safe > pair_dist_sq(box.min, box.max)) break;
     }
     top.fill_sorted(out.data() + i * k);
   }
@@ -176,7 +184,7 @@ std::vector<std::int64_t> knn_self_grid(const std::vector<Vec3>& points, int k,
                                         bool include_self) {
   if (k <= 0) throw std::invalid_argument("knn_self_grid: k must be positive");
   return grid_search(points, k, include_self, [&](std::int64_t i, std::int64_t j) {
-    return squared_distance(points[static_cast<size_t>(i)], points[static_cast<size_t>(j)]);
+    return pair_dist_sq(points[static_cast<size_t>(i)], points[static_cast<size_t>(j)]);
   });
 }
 
@@ -201,8 +209,8 @@ struct CombinedDistSq {
 
   float operator()(std::int64_t i, std::int64_t j) const {
     const auto a = static_cast<size_t>(i), b = static_cast<size_t>(j);
-    return squared_distance(positions[a], positions[b]) +
-           color_weight * squared_distance(colors[a], colors[b]);
+    return pair_dist_sq(positions[a], positions[b]) +
+           color_weight * pair_dist_sq(colors[a], colors[b]);
   }
 };
 

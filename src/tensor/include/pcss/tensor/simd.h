@@ -106,6 +106,13 @@ struct Kernels {
   /// y[i] = 8-lane sum of row i of x[n,c].
   void (*row_sum)(const float* x, float* y, std::int64_t n, std::int64_t c);
 
+  // -- Segment (neighbor-group) reductions -----------------------------------
+  /// Max over each group of k rows per channel of x[n*k, c]:
+  /// out[i,j] = max_r x[i*k+r, j], arg[i,j] = the first r attaining it
+  /// (ascending scan, strict `>`: a NaN never replaces the running max).
+  void (*segment_max)(const float* x, float* out, std::int64_t* arg, std::int64_t n,
+                      std::int64_t k, std::int64_t c);
+
   // -- Softmax family --------------------------------------------------------
   /// Row-wise log-softmax of x[n,c] (8-lane max and denominator).
   void (*log_softmax_rows)(const float* x, float* y, std::int64_t n, std::int64_t c);

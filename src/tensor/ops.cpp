@@ -948,25 +948,9 @@ void mul_rows_fwd(TensorImpl& node) {
 void segment_max_fwd(TensorImpl& node) {
   // Value-dependent saved state: the argmax indices backward reads are
   // rewritten alongside the values.
-  const float* px = parent(node, 0)->data.data();
-  const std::int64_t k = node.op_i0;
-  const std::int64_t n = node.shape[0], c = node.shape[1];
-  auto& arg = node.ctx->ibuf;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < c; ++j) {
-      float best = px[(i * k) * c + j];
-      std::int64_t best_r = 0;
-      for (std::int64_t r = 1; r < k; ++r) {
-        const float v = px[(i * k + r) * c + j];
-        if (v > best) {
-          best = v;
-          best_r = r;
-        }
-      }
-      node.data[i * c + j] = best;
-      arg[static_cast<size_t>(i * c + j)] = best_r;
-    }
-  }
+  simd::active().segment_max(parent(node, 0)->data.data(), node.data.data(),
+                             node.ctx->ibuf.data(), node.shape[0], node.op_i0,
+                             node.shape[1]);
 }
 
 void segment_sum_fwd(TensorImpl& node) {
@@ -1551,22 +1535,7 @@ Tensor segment_max(const Tensor& x, std::int64_t k) {
   FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf.resize(static_cast<size_t>(n * c));
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < c; ++j) {
-      float best = px[(i * k) * c + j];
-      std::int64_t best_r = 0;
-      for (std::int64_t r = 1; r < k; ++r) {
-        const float v = px[(i * k + r) * c + j];
-        if (v > best) {
-          best = v;
-          best_r = r;
-        }
-      }
-      out[i * c + j] = best;
-      ctx->ibuf[static_cast<size_t>(i * c + j)] = best_r;
-    }
-  }
+  simd::active().segment_max(x.data(), out.data(), ctx->ibuf.data(), n, k, c);
   return make_node({n, c}, std::move(out), {x.impl()}, segment_max_bw,
                    {.i0 = k, .ctx = std::move(ctx), .fwd = segment_max_fwd});
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -394,6 +395,174 @@ TEST(SimdBitExact, FusedModelBlocks) {
     A.acc_edge_features_bw(dha.data(), eg.data(), idx.data(), en, ek, c);
     EXPECT_TRUE(bytes_equal(dhs.data(), dha.data(), dhs.size()))
         << "acc_edge_features_bw c=" << c;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Compare-select kernels on special values. Their AVX2 bodies are written
+// with intrinsics (compare, select the factor, multiply); these inputs
+// catch a body that bit-ANDs the operand with the mask instead (+0.0
+// where g * 0.0f gives -0.0, 0 where inf * 0.0f gives NaN) and a compare
+// whose NaN behaviour differs from C `>`.
+// ---------------------------------------------------------------------------
+
+/// -0.0, +0.0, subnormals, +-inf, quiet and signaling NaN and two
+/// ordinary values. A multiply quiets a signaling NaN and a select does
+/// not, so it tells `a > 0 ? a : a * slope` from a compare that is true
+/// on NaN.
+const std::vector<float>& special_values() {
+  static const std::vector<float> values = {
+      -0.0f,
+      0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      1e-39f,  // subnormal
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::signaling_NaN(),
+      1.5f,
+      -2.5f};
+  return values;
+}
+
+/// Element i of a sequence that pairs every special value with every
+/// other one: first[i] cycles fastest, second[i] advances every cycle.
+float special_first(size_t i) {
+  const auto& s = special_values();
+  return s[i % s.size()];
+}
+float special_second(size_t i) {
+  const auto& s = special_values();
+  return s[(i / s.size()) % s.size()];
+}
+
+TEST(SimdBitExact, CompareSelectSpecialValues) {
+  PCSS_REQUIRE_AVX2_TABLE();
+  for (const std::int64_t n64 : tail_sizes()) {
+    const size_t n = static_cast<size_t>(n64);
+    std::vector<float> g(n), ref(n);
+    for (size_t i = 0; i < n; ++i) {
+      g[i] = special_first(i);
+      ref[i] = special_second(i);
+    }
+    // -0.0 accumulators: y + (-0.0) keeps the sign only when the product
+    // really is -0.0, so a +0.0 from a masked-out operand shows.
+    auto run = [&](auto&& fs, auto&& fa, const char* name) {
+      std::vector<float> ys(n, -0.0f), ya(n, -0.0f);
+      fs(ys.data());
+      fa(ya.data());
+      EXPECT_TRUE(bytes_equal(ys.data(), ya.data(), n)) << name << " n=" << n;
+    };
+    run([&](float* y) { S.acc_relu_mask(y, g.data(), ref.data(), n); },
+        [&](float* y) { A.acc_relu_mask(y, g.data(), ref.data(), n); }, "acc_relu_mask");
+    run([&](float* y) { S.acc_leaky_mask(y, g.data(), ref.data(), 0.1f, n); },
+        [&](float* y) { A.acc_leaky_mask(y, g.data(), ref.data(), 0.1f, n); },
+        "acc_leaky_mask");
+    run([&](float* y) { S.ew_leaky_relu(g.data(), 0.2f, y, n); },
+        [&](float* y) { A.ew_leaky_relu(g.data(), 0.2f, y, n); }, "ew_leaky_relu");
+  }
+}
+
+TEST(SimdBitExact, BnReluBackwardSpecialValues) {
+  PCSS_REQUIRE_AVX2_TABLE();
+  for (const std::int64_t c : tail_sizes()) {
+    const std::int64_t n = 6, special_row = 2;
+    const size_t nc = static_cast<size_t>(n * c);
+    // The mask reference (forward output) is special everywhere; the
+    // gradient only in one row, so each dgamma/dbeta column chain meets
+    // at most one NaN and the result does not hinge on which operand's
+    // NaN payload an add keeps.
+    auto g = test_values(nc, 30);
+    std::vector<float> y(nc);
+    for (size_t i = 0; i < nc; ++i) y[i] = special_first(i);
+    for (std::int64_t j = 0; j < c; ++j) {
+      g[static_cast<size_t>(special_row * c + j)] = special_first(static_cast<size_t>(j));
+      y[static_cast<size_t>(special_row * c + j)] = special_second(static_cast<size_t>(j));
+    }
+    const auto x = test_values(nc, 31);
+    const auto gamma = test_values(static_cast<size_t>(c), 32);
+    const auto mean = test_values(static_cast<size_t>(c), 33);
+    auto inv_std = test_values(static_cast<size_t>(c), 34);
+    for (auto& v : inv_std) v = 0.5f + (v > 0 ? v : -v);
+    std::vector<float> dxs(nc, -0.0f), dxa(dxs);
+    std::vector<float> dgs(static_cast<size_t>(c), 0.2f), dga(dgs);
+    std::vector<float> dbs(static_cast<size_t>(c), -0.0f), dba(dbs);
+    S.acc_bn_relu_eval_bw(dxs.data(), dgs.data(), dbs.data(), g.data(), y.data(), x.data(),
+                          gamma.data(), mean.data(), inv_std.data(), n, c);
+    A.acc_bn_relu_eval_bw(dxa.data(), dga.data(), dba.data(), g.data(), y.data(), x.data(),
+                          gamma.data(), mean.data(), inv_std.data(), n, c);
+    EXPECT_TRUE(bytes_equal(dxs.data(), dxa.data(), nc)) << "bnre_bw dx c=" << c;
+    EXPECT_TRUE(bytes_equal(dgs.data(), dga.data(), dgs.size())) << "bnre_bw dg c=" << c;
+    EXPECT_TRUE(bytes_equal(dbs.data(), dba.data(), dbs.size())) << "bnre_bw db c=" << c;
+    std::fill(dxs.begin(), dxs.end(), -0.0f);
+    dxa = dxs;
+    S.acc_bn_relu_eval_bw(dxs.data(), nullptr, nullptr, g.data(), y.data(), x.data(),
+                          gamma.data(), mean.data(), inv_std.data(), n, c);
+    A.acc_bn_relu_eval_bw(dxa.data(), nullptr, nullptr, g.data(), y.data(), x.data(),
+                          gamma.data(), mean.data(), inv_std.data(), n, c);
+    EXPECT_TRUE(bytes_equal(dxs.data(), dxa.data(), nc)) << "bnre_bw dx-only c=" << c;
+  }
+}
+
+/// The pre-kernel segment_max loop (j outer, r ascending, strict `>`).
+void segment_max_reference(const float* x, float* out, std::int64_t* arg, std::int64_t n,
+                           std::int64_t k, std::int64_t c) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < c; ++j) {
+      float best = x[(i * k) * c + j];
+      std::int64_t best_r = 0;
+      for (std::int64_t r = 1; r < k; ++r) {
+        const float v = x[(i * k + r) * c + j];
+        if (v > best) {
+          best = v;
+          best_r = r;
+        }
+      }
+      out[i * c + j] = best;
+      arg[i * c + j] = best_r;
+    }
+  }
+}
+
+TEST(SimdBitExact, SegmentMax) {
+  PCSS_REQUIRE_AVX2_TABLE();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::int64_t k : {1, 3, 12}) {
+    for (const std::int64_t c : tail_sizes()) {
+      // Groups: 0 random, 1 all rows equal (r = 0 must win), 2 the max
+      // appears at r = 1 and again at the last row (r = 1 must win),
+      // 3 NaN at r = 0 in even columns and mid-group in odd columns,
+      // 4 -0.0 at r = 0 then +0.0 (not greater: -0.0 stays, arg 0).
+      const std::int64_t n = 5;
+      auto x = test_values(static_cast<size_t>(n * k * c), 35 + static_cast<std::uint64_t>(k));
+      auto at = [&](std::int64_t i, std::int64_t r, std::int64_t j) -> float& {
+        return x[static_cast<size_t>((i * k + r) * c + j)];
+      };
+      for (std::int64_t j = 0; j < c; ++j) {
+        for (std::int64_t r = 0; r < k; ++r) at(1, r, j) = at(1, 0, j);
+        if (k > 1) {
+          at(2, 1, j) = 1000.0f;
+          at(2, k - 1, j) = 1000.0f;
+        }
+        at(3, j % 2 == 0 ? 0 : k / 2, j) = nan;
+        for (std::int64_t r = 0; r < k; ++r) at(4, r, j) = r == 0 ? -0.0f : 0.0f;
+      }
+      const size_t nc = static_cast<size_t>(n * c);
+      std::vector<float> vr(nc), vs(nc), va(nc);
+      std::vector<std::int64_t> ar(nc), as(nc, -1), aa(nc, -1);
+      segment_max_reference(x.data(), vr.data(), ar.data(), n, k, c);
+      S.segment_max(x.data(), vs.data(), as.data(), n, k, c);
+      A.segment_max(x.data(), va.data(), aa.data(), n, k, c);
+      EXPECT_TRUE(bytes_equal(vr.data(), vs.data(), nc)) << "scalar k=" << k << " c=" << c;
+      EXPECT_TRUE(bytes_equal(vr.data(), va.data(), nc)) << "avx2 k=" << k << " c=" << c;
+      EXPECT_EQ(ar, as) << "scalar arg k=" << k << " c=" << c;
+      EXPECT_EQ(ar, aa) << "avx2 arg k=" << k << " c=" << c;
+      if (k > 1) {
+        EXPECT_EQ(ar[static_cast<size_t>(1 * c)], 0) << "tie: first r wins";
+        EXPECT_EQ(ar[static_cast<size_t>(2 * c)], 1) << "repeated max: first r wins";
+      }
+    }
   }
 }
 
