@@ -46,7 +46,7 @@ std::vector<Vec3> random_points(int n, std::uint64_t seed) {
   return pts;
 }
 
-void BM_KnnBrute(benchmark::State& state) {
+void BM_KnnSelf(benchmark::State& state) {
   const auto pts = random_points(static_cast<int>(state.range(0)), 5);
   for (auto _ : state) {
     auto idx = pcss::pointcloud::knn_self(pts, 12, true);
@@ -54,16 +54,7 @@ void BM_KnnBrute(benchmark::State& state) {
   }
 }
 
-void BM_KnnGrid(benchmark::State& state) {
-  const auto pts = random_points(static_cast<int>(state.range(0)), 5);
-  for (auto _ : state) {
-    auto idx = pcss::pointcloud::knn_self_grid(pts, 12, true);
-    benchmark::DoNotOptimize(idx.data());
-  }
-}
-
-BENCHMARK(BM_KnnBrute)->Arg(512)->Arg(2048)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_KnnGrid)->Arg(512)->Arg(2048)->Arg(8192)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KnnSelf)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

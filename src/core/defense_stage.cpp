@@ -70,8 +70,8 @@ class SrsStage final : public DefenseStage {
 
 class SorStage final : public DefenseStage {
  public:
-  SorStage(int k, float stddev_mult, float color_weight, KnnBackend backend)
-      : k_(k), stddev_mult_(stddev_mult), color_weight_(color_weight), backend_(backend) {
+  SorStage(int k, float stddev_mult, float color_weight)
+      : k_(k), stddev_mult_(stddev_mult), color_weight_(color_weight) {
     if (k <= 0) throw std::invalid_argument("sor stage: k must be positive");
     if (color_weight < 0.0f) {
       throw std::invalid_argument("sor stage: color_weight must be >= 0");
@@ -81,8 +81,6 @@ class SorStage final : public DefenseStage {
   const char* name() const override { return "sor"; }
 
   std::string describe() const override {
-    // The backend never changes the defended output (grid == brute up to
-    // distance ties), so it stays out of the cache-key string.
     return "sor(k=" + std::to_string(k_) + ",mult=" + num(stddev_mult_) +
            ",cw=" + num(color_weight_) + ")";
   }
@@ -91,7 +89,8 @@ class SorStage final : public DefenseStage {
     const std::int64_t n = cloud.size();
     if (n <= k_) return {cloud, identity_map(n)};
 
-    const std::vector<std::int64_t> idx = neighbors(cloud);
+    const std::vector<std::int64_t> idx =
+        pcss::pointcloud::knn_self_combined(cloud.positions, cloud.colors, color_weight_, k_);
     std::vector<float> mean_d(static_cast<size_t>(n), 0.0f);
     for (std::int64_t i = 0; i < n; ++i) {
       float acc = 0.0f;
@@ -124,25 +123,9 @@ class SorStage final : public DefenseStage {
   }
 
  private:
-  std::vector<std::int64_t> neighbors(const PointCloud& cloud) const {
-    switch (backend_) {
-      case KnnBackend::kBrute:
-        return pcss::pointcloud::knn_self_combined_brute(cloud.positions, cloud.colors,
-                                                         color_weight_, k_);
-      case KnnBackend::kGrid:
-        return pcss::pointcloud::knn_self_combined_grid(cloud.positions, cloud.colors,
-                                                        color_weight_, k_);
-      case KnnBackend::kAuto:
-        break;
-    }
-    return pcss::pointcloud::knn_self_combined(cloud.positions, cloud.colors, color_weight_,
-                                               k_);
-  }
-
   int k_;
   float stddev_mult_;
   float color_weight_;
-  KnnBackend backend_;
 };
 
 // ---------------------------------------------------------------------------
@@ -264,8 +247,8 @@ std::shared_ptr<const DefenseStage> make_srs_fraction_stage(float remove_fractio
 }
 
 std::shared_ptr<const DefenseStage> make_sor_stage(int k, float stddev_mult,
-                                                   float color_weight, KnnBackend backend) {
-  return std::make_shared<SorStage>(k, stddev_mult, color_weight, backend);
+                                                   float color_weight) {
+  return std::make_shared<SorStage>(k, stddev_mult, color_weight);
 }
 
 std::shared_ptr<const DefenseStage> make_voxel_stage(float voxel) {

@@ -28,12 +28,6 @@ using pcss::tensor::Rng;
 // tests/defense_pipeline_test.cpp).
 // ---------------------------------------------------------------------------
 
-/// Which kNN implementation a neighbor-based stage uses. kAuto follows
-/// the knn_self dispatch (grid at >= 1024 points); the explicit backends
-/// exist for the brute-vs-grid equivalence tests and tie-sensitive
-/// callers.
-enum class KnnBackend { kAuto, kBrute, kGrid };
-
 /// Result of one stage (or a whole pipeline): the defended cloud plus
 /// the surviving-index map. kept[i] names the index *in the input cloud*
 /// of defended point i, so metrics can always be scored against the
@@ -124,11 +118,10 @@ std::shared_ptr<const DefenseStage> make_srs_fraction_stage(float remove_fractio
 
 /// Revised Statistical Outlier Removal (paper §V-F): neighbors are the
 /// true k-nearest under d^2 = d_pos^2 + color_weight * d_color^2
-/// (knn_self_combined, grid-accelerated at >= 1024 points); points whose
+/// (knn_self_combined); points whose
 /// mean neighbor distance exceeds mean + stddev_mult * sigma are dropped.
 std::shared_ptr<const DefenseStage> make_sor_stage(int k, float stddev_mult = 1.0f,
-                                                   float color_weight = 1.0f,
-                                                   KnnBackend backend = KnnBackend::kAuto);
+                                                   float color_weight = 1.0f);
 
 /// Voxel-grid thinning: keeps one point per occupied voxel of the given
 /// edge length (a geometric smoothing defense for outdoor-scale clouds).

@@ -7,65 +7,38 @@
 
 namespace pcss::pointcloud {
 
-/// Cloud size at and above which knn_self dispatches to the grid
-/// implementation (the O(N^2) brute force loses past ~1k points on this
-/// substrate; at the cutover the two are within noise of each other).
-inline constexpr std::int64_t kKnnGridCutover = 1024;
+// Contract shared by every search below: each row holds the k smallest
+// (distance, index) pairs in lexicographic order, ties included, so the
+// result does not depend on visit order or cloud size. Each search
+// compares every query with every reference point, O(N^2): at the zoo's
+// cloud sizes (512 and 1024 points) that beats a cell-grid search.
+// Rows are in ascending (distance, index) order; if fewer than k
+// candidates exist, the last one is repeated to keep the layout
+// rectangular (a row with no candidate is all zeros). Distances are
+// computed as in squared_distance(). A non-finite coordinate (or color)
+// throws std::invalid_argument, as does k <= 0.
 
 /// k nearest neighbors of each point within the same set. Returns a flat
 /// [n*k] row-major index array. When include_self is false the point
-/// itself is excluded from its own neighbor list. If fewer than k
-/// candidates exist, the last found index is repeated to keep the layout
-/// rectangular.
-///
-/// Dispatches to the exact grid search for clouds of kKnnGridCutover or
-/// more points; both paths produce identical results up to ties at the
-/// k-th distance (measure zero for real scene data).
+/// itself is excluded from its own neighbor list.
 std::vector<std::int64_t> knn_self(const std::vector<Vec3>& points, int k,
                                    bool include_self = true);
-
-/// Brute-force O(N^2) variant, kept callable for the grid-equivalence
-/// tests and for tie-sensitive callers that need the historical order.
-std::vector<std::int64_t> knn_self_brute(const std::vector<Vec3>& points, int k,
-                                         bool include_self = true);
 
 /// k nearest neighbors of each query point among `reference` points.
 /// Returns a flat [queries.size()*k] index array into `reference`.
 std::vector<std::int64_t> knn_query(const std::vector<Vec3>& reference,
                                     const std::vector<Vec3>& queries, int k);
 
-/// Grid-accelerated variant of knn_self for large clouds (outdoor scenes).
-/// Exact: expands cell shells until the k-th distance is provably final.
-std::vector<std::int64_t> knn_self_grid(const std::vector<Vec3>& points, int k,
-                                        bool include_self = true);
-
 /// k nearest neighbors within one set under the combined position+color
 /// metric of the revised SOR defense:
 ///   d^2(i, j) = ||p_i - p_j||^2 + color_weight * ||c_i - c_j||^2.
-/// Returns a flat [n*k] row-major index array (ascending distance). The
-/// point itself is always excluded from its own list. `positions` and
-/// `colors` must be the same length; color_weight must be >= 0 (0 reduces
-/// the metric to plain positional kNN).
-///
-/// Dispatches to the grid search at kKnnGridCutover points. The grid is
-/// exact for the combined metric too: the combined distance is bounded
-/// below by the positional distance, so the positional shell bound of
-/// knn_self_grid still proves the k-th neighbor final. Both paths agree
-/// up to ties at the k-th combined distance.
+/// Returns a flat [n*k] row-major index array. The point itself is always
+/// excluded from its own list. `positions` and `colors` must be the same
+/// length; color_weight must be finite and >= 0 (0 reduces the metric to
+/// plain positional kNN).
 std::vector<std::int64_t> knn_self_combined(const std::vector<Vec3>& positions,
                                             const std::vector<Vec3>& colors,
                                             float color_weight, int k);
-
-/// Brute-force O(N^2) variant, kept callable for the grid-equivalence
-/// tests (mirrors knn_self_brute).
-std::vector<std::int64_t> knn_self_combined_brute(const std::vector<Vec3>& positions,
-                                                  const std::vector<Vec3>& colors,
-                                                  float color_weight, int k);
-
-/// Grid-accelerated variant for large clouds.
-std::vector<std::int64_t> knn_self_combined_grid(const std::vector<Vec3>& positions,
-                                                 const std::vector<Vec3>& colors,
-                                                 float color_weight, int k);
 
 /// Fraction of points whose neighbor *set* changed between two [n*k] kNN
 /// index arrays. Used for the paper's §V-B evidence that coordinate

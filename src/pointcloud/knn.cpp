@@ -5,255 +5,238 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 namespace pcss::pointcloud {
 
 namespace {
 
-/// squared_distance() inlined into the search loops (the out-of-line one
-/// costs a call per candidate pair). Same expression and order:
-/// d = a - b, then d0*d0 + d1*d1 + d2*d2 left to right.
-inline float pair_dist_sq(const Vec3& a, const Vec3& b) {
-  const float d0 = a[0] - b[0], d1 = a[1] - b[1], d2 = a[2] - b[2];
-  return d0 * d0 + d1 * d1 + d2 * d2;
+void require_k(int k, const char* who) {
+  if (k <= 0) throw std::invalid_argument(std::string(who) + ": k must be positive");
 }
 
-/// Bounded max-heap of (distance, index) keeping the k smallest entries.
-class TopK {
- public:
-  explicit TopK(int k) : k_(k) { heap_.reserve(static_cast<size_t>(k)); }
-
-  void offer(float dist, std::int64_t idx) {
-    if (static_cast<int>(heap_.size()) < k_) {
-      heap_.emplace_back(dist, idx);
-      std::push_heap(heap_.begin(), heap_.end());
-    } else if (dist < heap_.front().first) {
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.back() = {dist, idx};
-      std::push_heap(heap_.begin(), heap_.end());
+/// Non-finite input has no (distance, index) order to be exact about.
+void require_finite(const std::vector<Vec3>& values, const char* who) {
+  for (const Vec3& v : values) {
+    if (!std::isfinite(v[0]) || !std::isfinite(v[1]) || !std::isfinite(v[2])) {
+      throw std::invalid_argument(std::string(who) + ": non-finite coordinate");
     }
   }
+}
 
-  float worst() const {
-    return heap_.size() < static_cast<size_t>(k_) ? std::numeric_limits<float>::infinity()
-                                                  : heap_.front().first;
+/// The k lexicographically smallest (distance, index) pairs offered so
+/// far, sorted ascending. The contents never depend on offer order; each
+/// index must be offered at most once.
+class SortedK {
+ public:
+  explicit SortedK(int k)
+      : k_(k), dist_(static_cast<size_t>(k)), idx_(static_cast<size_t>(k)) {}
+
+  void clear() { size_ = 0; }
+
+  /// Distance of the k-th entry; +inf until k entries are listed. A
+  /// candidate farther than this cannot enter the list.
+  float kth() const {
+    return size_ < k_ ? std::numeric_limits<float>::infinity()
+                      : dist_[static_cast<size_t>(k_ - 1)];
   }
 
-  /// Indices sorted by ascending distance; pads by repeating the last
-  /// entry when fewer than k candidates were offered.
-  void fill_sorted(std::int64_t* out) {
-    std::sort(heap_.begin(), heap_.end());
-    for (int j = 0; j < k_; ++j) {
-      if (heap_.empty()) {
-        out[j] = 0;
-      } else {
-        out[j] = heap_[std::min<size_t>(static_cast<size_t>(j), heap_.size() - 1)].second;
-      }
+  void offer(float d, std::int64_t j) {
+    int end = size_;
+    if (size_ == k_) {
+      if (!before(d, j, k_ - 1)) return;
+      end = k_ - 1;  // the current k-th entry drops out
+    }
+    int pos = end;
+    for (; pos > 0 && before(d, j, pos - 1); --pos) {
+      dist_[static_cast<size_t>(pos)] = dist_[static_cast<size_t>(pos - 1)];
+      idx_[static_cast<size_t>(pos)] = idx_[static_cast<size_t>(pos - 1)];
+    }
+    dist_[static_cast<size_t>(pos)] = d;
+    idx_[static_cast<size_t>(pos)] = j;
+    if (size_ < k_) ++size_;
+  }
+
+  /// Indices in ascending (distance, index) order; pads by repeating the
+  /// last entry when fewer than k candidates were offered (zeros if none).
+  void fill(std::int64_t* out) const {
+    for (int m = 0; m < k_; ++m) {
+      out[m] = size_ == 0 ? 0 : idx_[static_cast<size_t>(std::min(m, size_ - 1))];
     }
   }
 
  private:
+  bool before(float d, std::int64_t j, int m) const {
+    const float dm = dist_[static_cast<size_t>(m)];
+    return d < dm || (d == dm && j < idx_[static_cast<size_t>(m)]);
+  }
+
   int k_;
-  std::vector<std::pair<float, std::int64_t>> heap_;
+  int size_ = 0;
+  std::vector<float> dist_;
+  std::vector<std::int64_t> idx_;
 };
+
+/// Points as three contiguous coordinate arrays, so the distances from one
+/// query to every point are a single loop the compiler vectorizes.
+struct Soa3 {
+  std::vector<float> x, y, z;
+
+  explicit Soa3(const std::vector<Vec3>& points)
+      : x(points.size()), y(points.size()), z(points.size()) {
+    for (size_t j = 0; j < points.size(); ++j) {
+      x[j] = points[j][0];
+      y[j] = points[j][1];
+      z[j] = points[j][2];
+    }
+  }
+};
+
+/// out[j] = pair_dist_sq(a, b[j]) for every j, same expression and order.
+void dist_row(const Vec3& a, const Soa3& b, float* __restrict out) {
+  const float a0 = a[0], a1 = a[1], a2 = a[2];
+  const float* __restrict bx = b.x.data();
+  const float* __restrict by = b.y.data();
+  const float* __restrict bz = b.z.data();
+  const size_t n = b.x.size();
+  for (size_t j = 0; j < n; ++j) {
+    const float d0 = a0 - bx[j], d1 = a1 - by[j], d2 = a2 - bz[j];
+    out[j] = d0 * d0 + d1 * d1 + d2 * d2;
+  }
+}
+
+/// Spreads the low 10 bits of v so two zero bits follow each one.
+std::uint32_t spread_bits(std::uint32_t v) {
+  v = (v | (v << 16)) & 0x030000FFu;
+  v = (v | (v << 8)) & 0x0300F00Fu;
+  v = (v | (v << 4)) & 0x030C30C3u;
+  v = (v | (v << 2)) & 0x09249249u;
+  return v;
+}
+
+/// Point indices sorted by a 30-bit Morton code over the points' bounding
+/// box (ties by index), so consecutive points are usually near each other.
+std::vector<std::int64_t> morton_order(const std::vector<Vec3>& points) {
+  const BBox box = compute_bbox(points);
+  std::vector<std::pair<std::uint32_t, std::int64_t>> keyed(points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    std::uint32_t code = 0;
+    for (int a = 0; a < 3; ++a) {
+      // In double: max - min of finite floats can overflow a float.
+      const double extent = static_cast<double>(box.max[a]) - box.min[a];
+      const double t =
+          extent > 0.0 ? (static_cast<double>(points[i][a]) - box.min[a]) / extent : 0.0;
+      code |= spread_bits(static_cast<std::uint32_t>(t * 1023.0)) << a;
+    }
+    keyed[i] = {code, static_cast<std::int64_t>(i)};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<std::int64_t> order(points.size());
+  for (size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].second;
+  return order;
+}
+
+/// The one exact search: for each query q, the k smallest
+/// (distance, index) pairs over reference indices 0..n_ref-1, skipping
+/// index q itself when `exclude_self`. `fill_row(q, dist)` writes the
+/// distance from query q to every reference point.
+///
+/// Exact for any visit order: every candidate is compared, and SortedK
+/// keeps the lexicographic minimum. Visiting queries in Morton order and
+/// seeding each list with the previous query's neighbors only makes the
+/// k-th distance small early, so few candidates pass the `<= kth` filter.
+/// `offered[j] == q` marks a candidate already offered for query q (or
+/// excluded from it), so no index reaches the list twice.
+template <typename FillRow>
+std::vector<std::int64_t> exact_search(const std::vector<Vec3>& query_positions,
+                                       std::int64_t n_ref, int k, bool exclude_self,
+                                       FillRow fill_row) {
+  const std::int64_t nq = static_cast<std::int64_t>(query_positions.size());
+  std::vector<std::int64_t> out(static_cast<size_t>(nq) * static_cast<size_t>(k));
+  std::vector<float> dist(static_cast<size_t>(n_ref));
+  std::vector<std::int64_t> offered(static_cast<size_t>(n_ref), -1);
+  SortedK best(k);
+  const std::int64_t* seeds = nullptr;
+  for (const std::int64_t q : morton_order(query_positions)) {
+    fill_row(q, dist.data());
+    if (exclude_self) offered[static_cast<size_t>(q)] = q;
+    best.clear();
+    for (int m = 0; seeds != nullptr && m < k; ++m) {
+      const auto s = static_cast<size_t>(seeds[m]);
+      if (offered[s] == q) continue;  // excluded, or a repeat from row padding
+      offered[s] = q;
+      best.offer(dist[s], seeds[m]);
+    }
+    float kth = best.kth();
+    for (std::int64_t j = 0; j < n_ref; ++j) {
+      const auto u = static_cast<size_t>(j);
+      if (dist[u] <= kth && offered[u] != q) {
+        best.offer(dist[u], j);
+        kth = best.kth();
+      }
+    }
+    std::int64_t* row = out.data() + q * k;
+    best.fill(row);
+    seeds = row;
+  }
+  return out;
+}
+
+void check_combined_args(const std::vector<Vec3>& positions, const std::vector<Vec3>& colors,
+                         float color_weight, int k) {
+  require_k(k, "knn_self_combined");
+  if (positions.size() != colors.size()) {
+    throw std::invalid_argument("knn_self_combined: positions/colors size mismatch");
+  }
+  if (!std::isfinite(color_weight) || color_weight < 0.0f) {
+    throw std::invalid_argument("knn_self_combined: color_weight must be finite and >= 0");
+  }
+  require_finite(positions, "knn_self_combined");
+  require_finite(colors, "knn_self_combined");
+}
 
 }  // namespace
 
 std::vector<std::int64_t> knn_self(const std::vector<Vec3>& points, int k,
                                    bool include_self) {
-  // Large-N callers (outdoor scenes, model graph builds, the SOR defense
-  // statistic) all route through the grid above the cutover; brute force
-  // is O(N^2) and only wins on small clouds.
-  if (static_cast<std::int64_t>(points.size()) >= kKnnGridCutover) {
-    return knn_self_grid(points, k, include_self);
-  }
-  return knn_self_brute(points, k, include_self);
-}
-
-std::vector<std::int64_t> knn_self_brute(const std::vector<Vec3>& points, int k,
-                                         bool include_self) {
-  if (k <= 0) throw std::invalid_argument("knn_self: k must be positive");
-  const std::int64_t n = static_cast<std::int64_t>(points.size());
-  std::vector<std::int64_t> out(static_cast<size_t>(n) * static_cast<size_t>(k));
-  for (std::int64_t i = 0; i < n; ++i) {
-    TopK top(k);
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (!include_self && j == i) continue;
-      top.offer(pair_dist_sq(points[static_cast<size_t>(i)],
-                             points[static_cast<size_t>(j)]),
-                j);
-    }
-    top.fill_sorted(out.data() + i * k);
-  }
-  return out;
+  require_k(k, "knn_self");
+  require_finite(points, "knn_self");
+  const Soa3 ref(points);
+  return exact_search(points, static_cast<std::int64_t>(points.size()), k, !include_self,
+                      [&](std::int64_t q, float* out) {
+                        dist_row(points[static_cast<size_t>(q)], ref, out);
+                      });
 }
 
 std::vector<std::int64_t> knn_query(const std::vector<Vec3>& reference,
                                     const std::vector<Vec3>& queries, int k) {
-  if (k <= 0) throw std::invalid_argument("knn_query: k must be positive");
+  require_k(k, "knn_query");
   if (reference.empty()) throw std::invalid_argument("knn_query: empty reference");
-  const std::int64_t nq = static_cast<std::int64_t>(queries.size());
-  std::vector<std::int64_t> out(static_cast<size_t>(nq) * static_cast<size_t>(k));
-  for (std::int64_t i = 0; i < nq; ++i) {
-    TopK top(k);
-    for (std::int64_t j = 0; j < static_cast<std::int64_t>(reference.size()); ++j) {
-      top.offer(pair_dist_sq(queries[static_cast<size_t>(i)],
-                             reference[static_cast<size_t>(j)]),
-                j);
-    }
-    top.fill_sorted(out.data() + i * k);
-  }
-  return out;
+  require_finite(reference, "knn_query");
+  require_finite(queries, "knn_query");
+  const Soa3 ref(reference);
+  return exact_search(queries, static_cast<std::int64_t>(reference.size()), k,
+                      /*exclude_self=*/false, [&](std::int64_t q, float* out) {
+                        dist_row(queries[static_cast<size_t>(q)], ref, out);
+                      });
 }
-
-namespace {
-
-struct CellKey {
-  int x, y, z;
-  bool operator==(const CellKey&) const = default;
-};
-
-struct CellHash {
-  size_t operator()(const CellKey& c) const {
-    // Three large primes mixed; collisions are harmless (bucket scan).
-    return static_cast<size_t>(c.x) * 73856093u ^ static_cast<size_t>(c.y) * 19349663u ^
-           static_cast<size_t>(c.z) * 83492791u;
-  }
-};
-
-}  // namespace
-
-/// Shared exact grid search parameterized over the pairwise squared
-/// distance. Correctness requirement on `dist_sq`: it must be bounded
-/// below by the positional squared distance, because the shell
-/// termination bound is positional (true for the plain metric, where
-/// they are equal, and for the combined position+color metric, which
-/// only adds a non-negative term).
-template <typename DistSqFn>
-std::vector<std::int64_t> grid_search(const std::vector<Vec3>& points, int k,
-                                      bool include_self, DistSqFn dist_sq) {
-  const std::int64_t n = static_cast<std::int64_t>(points.size());
-  if (n == 0) return {};
-  const BBox box = compute_bbox(points);
-  // Aim for ~2 points per cell so a shell radius of 1-2 usually suffices.
-  const float volume = std::max(box.extent()[0], 1e-6f) * std::max(box.extent()[1], 1e-6f) *
-                       std::max(box.extent()[2], 1e-6f);
-  const float cell = std::max(std::cbrt(volume * 2.0f / static_cast<float>(n)), 1e-6f);
-  std::unordered_map<CellKey, std::vector<std::int64_t>, CellHash> grid;
-  auto key_of = [&](const Vec3& p) {
-    return CellKey{static_cast<int>(std::floor((p[0] - box.min[0]) / cell)),
-                   static_cast<int>(std::floor((p[1] - box.min[1]) / cell)),
-                   static_cast<int>(std::floor((p[2] - box.min[2]) / cell))};
-  };
-  for (std::int64_t i = 0; i < n; ++i) grid[key_of(points[static_cast<size_t>(i)])].push_back(i);
-
-  std::vector<std::int64_t> out(static_cast<size_t>(n) * static_cast<size_t>(k));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const Vec3& p = points[static_cast<size_t>(i)];
-    const CellKey center = key_of(p);
-    TopK top(k);
-    for (int radius = 0;; ++radius) {
-      // Scan the shell of cells at Chebyshev distance `radius`.
-      for (int dx = -radius; dx <= radius; ++dx) {
-        for (int dy = -radius; dy <= radius; ++dy) {
-          for (int dz = -radius; dz <= radius; ++dz) {
-            if (std::max({std::abs(dx), std::abs(dy), std::abs(dz)}) != radius) continue;
-            auto it = grid.find({center.x + dx, center.y + dy, center.z + dz});
-            if (it == grid.end()) continue;
-            for (std::int64_t j : it->second) {
-              if (!include_self && j == i) continue;
-              top.offer(dist_sq(i, j), j);
-            }
-          }
-        }
-      }
-      // All unscanned cells are at least `radius * cell` away from p;
-      // stop when the current k-th distance cannot be improved.
-      const float safe = static_cast<float>(radius) * cell;
-      if (top.worst() <= safe * safe) break;
-      if (radius > 0 && safe * safe > pair_dist_sq(box.min, box.max)) break;
-    }
-    top.fill_sorted(out.data() + i * k);
-  }
-  return out;
-}
-
-std::vector<std::int64_t> knn_self_grid(const std::vector<Vec3>& points, int k,
-                                        bool include_self) {
-  if (k <= 0) throw std::invalid_argument("knn_self_grid: k must be positive");
-  return grid_search(points, k, include_self, [&](std::int64_t i, std::int64_t j) {
-    return pair_dist_sq(points[static_cast<size_t>(i)], points[static_cast<size_t>(j)]);
-  });
-}
-
-namespace {
-
-void check_combined_args(const std::vector<Vec3>& positions, const std::vector<Vec3>& colors,
-                         float color_weight, int k, const char* who) {
-  if (k <= 0) throw std::invalid_argument(std::string(who) + ": k must be positive");
-  if (positions.size() != colors.size()) {
-    throw std::invalid_argument(std::string(who) + ": positions/colors size mismatch");
-  }
-  if (color_weight < 0.0f) {
-    throw std::invalid_argument(std::string(who) + ": color_weight must be >= 0");
-  }
-}
-
-/// d^2 = d_pos^2 + color_weight * d_color^2 (the revised-SOR metric).
-struct CombinedDistSq {
-  const std::vector<Vec3>& positions;
-  const std::vector<Vec3>& colors;
-  float color_weight;
-
-  float operator()(std::int64_t i, std::int64_t j) const {
-    const auto a = static_cast<size_t>(i), b = static_cast<size_t>(j);
-    return pair_dist_sq(positions[a], positions[b]) +
-           color_weight * pair_dist_sq(colors[a], colors[b]);
-  }
-};
-
-}  // namespace
 
 std::vector<std::int64_t> knn_self_combined(const std::vector<Vec3>& positions,
                                             const std::vector<Vec3>& colors,
                                             float color_weight, int k) {
-  check_combined_args(positions, colors, color_weight, k, "knn_self_combined");
-  if (static_cast<std::int64_t>(positions.size()) >= kKnnGridCutover) {
-    return knn_self_combined_grid(positions, colors, color_weight, k);
-  }
-  return knn_self_combined_brute(positions, colors, color_weight, k);
-}
-
-std::vector<std::int64_t> knn_self_combined_brute(const std::vector<Vec3>& positions,
-                                                  const std::vector<Vec3>& colors,
-                                                  float color_weight, int k) {
-  check_combined_args(positions, colors, color_weight, k, "knn_self_combined_brute");
-  const CombinedDistSq dist{positions, colors, color_weight};
-  const std::int64_t n = static_cast<std::int64_t>(positions.size());
-  std::vector<std::int64_t> out(static_cast<size_t>(n) * static_cast<size_t>(k));
-  for (std::int64_t i = 0; i < n; ++i) {
-    TopK top(k);
-    for (std::int64_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      top.offer(dist(i, j), j);
-    }
-    top.fill_sorted(out.data() + i * k);
-  }
-  return out;
-}
-
-std::vector<std::int64_t> knn_self_combined_grid(const std::vector<Vec3>& positions,
-                                                 const std::vector<Vec3>& colors,
-                                                 float color_weight, int k) {
-  check_combined_args(positions, colors, color_weight, k, "knn_self_combined_grid");
-  // The grid cells span positions only; the combined distance can only
-  // exceed the positional one, so the positional shell bound stays a
-  // valid termination proof (shells just expand a little further when
-  // color dominates the metric).
-  return grid_search(positions, k, /*include_self=*/false,
-                     CombinedDistSq{positions, colors, color_weight});
+  check_combined_args(positions, colors, color_weight, k);
+  const Soa3 pos(positions), col(colors);
+  std::vector<float> color_row(positions.size());
+  return exact_search(positions, static_cast<std::int64_t>(positions.size()), k,
+                      /*exclude_self=*/true, [&](std::int64_t q, float* out) {
+                        const auto qi = static_cast<size_t>(q);
+                        dist_row(positions[qi], pos, out);
+                        dist_row(colors[qi], col, color_row.data());
+                        for (size_t j = 0; j < color_row.size(); ++j) {
+                          out[j] = out[j] + color_weight * color_row[j];
+                        }
+                      });
 }
 
 double neighborhood_change_fraction(const std::vector<std::int64_t>& before,

@@ -1,20 +1,22 @@
 // DefensePipeline contract tests: the legacy free functions are
 // bit-exact wrappers over the stages, chained stages carry a correct
 // surviving-index map (metrics score against permuted original ground
-// truth even when a stage clobbers carried labels), SOR's combined kNN
-// is grid/brute-equivalent on the defended output, and DefendedModel
+// truth even when a stage clobbers carried labels), SOR on a 1400-point
+// scene matches SOR from the kNN oracle's neighbors, and DefendedModel
 // attacks are deterministic across engine thread counts (stochastic SRS
 // included) while reproducing the undefended engine exactly for the
 // empty pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "knn_oracle.h"
 #include "pcss/core/attack_engine.h"
 #include "pcss/core/defended_model.h"
 #include "pcss/core/defense.h"
@@ -162,19 +164,42 @@ TEST(DefenseStages, KnnVoteSmoothsAnIsolatedPrediction) {
   EXPECT_EQ(pred, (std::vector<int>{2, 2, 2, 2, 2, 2}));
 }
 
-TEST(DefenseStages, SorBruteAndGridBackendsProduceIdenticalDefendedOutput) {
-  // Satellite: the combined position+color kNN goes through the grid at
-  // >= 1024 points; the defended cloud must not depend on the backend.
+TEST(DefenseStages, SorOnALargeSceneMatchesSorFromOracleNeighbors) {
+  // The defended cloud must equal the revised SOR rule applied to the
+  // oracle's combined position+color neighbors.
   const auto cloud = scene(1400, 8);
-  ASSERT_GE(cloud.size(), 1024);
+  const int k = 3;
+  const float mult = 1.0f, cw = 25.0f;
+  const auto idx = pcss_test::first_k(
+      pcss_test::oracle_combined(cloud.positions, cloud.colors, cw, k), k);
+  const auto n = static_cast<size_t>(cloud.size());
+  std::vector<float> mean_d(n);
+  for (size_t i = 0; i < n; ++i) {
+    float acc = 0.0f;
+    for (int j = 0; j < k; ++j) {
+      const auto nb = static_cast<size_t>(idx[i * k + static_cast<size_t>(j)]);
+      acc += std::sqrt(
+          pcss::pointcloud::squared_distance(cloud.positions[i], cloud.positions[nb]) +
+          cw * pcss::pointcloud::squared_distance(cloud.colors[i], cloud.colors[nb]));
+    }
+    mean_d[i] = acc / static_cast<float>(k);
+  }
+  double mean = 0.0, var = 0.0;
+  for (float d : mean_d) mean += d;
+  mean /= static_cast<double>(n);
+  for (float d : mean_d) var += (d - mean) * (d - mean);
+  var /= static_cast<double>(n);
+  const double threshold = mean + static_cast<double>(mult) * std::sqrt(var);
+  std::vector<std::int64_t> keep;
+  for (size_t i = 0; i < n; ++i) {
+    if (mean_d[i] <= threshold) keep.push_back(static_cast<std::int64_t>(i));
+  }
+  ASSERT_LT(keep.size(), n);  // the rule drops points on this scene
+
   Rng unused(0);
-  const auto brute =
-      make_sor_stage(3, 1.0f, 25.0f, KnnBackend::kBrute)->apply(cloud, unused);
-  const auto grid = make_sor_stage(3, 1.0f, 25.0f, KnnBackend::kGrid)->apply(cloud, unused);
-  const auto dispatched = make_sor_stage(3, 1.0f, 25.0f)->apply(cloud, unused);
-  EXPECT_TRUE(same_cloud(brute.cloud, grid.cloud));
-  EXPECT_EQ(brute.kept, grid.kept);
-  EXPECT_TRUE(same_cloud(dispatched.cloud, grid.cloud));
+  const auto defended = make_sor_stage(k, mult, cw)->apply(cloud, unused);
+  EXPECT_EQ(defended.kept, keep);
+  EXPECT_TRUE(same_cloud(defended.cloud, cloud.subset(keep)));
 }
 
 // ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ TEST_P(PlanModels, UnboundedReplayMatchesEager) {
 INSTANTIATE_TEST_SUITE_P(Zoo, PlanModels,
                          ::testing::Values(Family::kPointNet2, Family::kResGCN,
                                            Family::kRandLA),
-                         [](const auto& info) { return family_name(info.param); });
+                         [](const auto& param_info) { return family_name(param_info.param); });
 
 // --- Invalidation, gating, threading --------------------------------------
 

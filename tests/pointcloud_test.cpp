@@ -118,20 +118,6 @@ TEST(Knn, QueryMatchesManualCheck) {
   EXPECT_EQ(idx[1], 2);
 }
 
-TEST(Knn, GridMatchesBruteForce) {
-  Rng rng(55);
-  std::vector<Vec3> pts;
-  for (int i = 0; i < 300; ++i) {
-    pts.push_back({rng.uniform(-5, 5), rng.uniform(-3, 3), rng.uniform(0, 2)});
-  }
-  const int k = 5;
-  const auto brute = knn_self(pts, k, true);
-  const auto grid = knn_self_grid(pts, k, true);
-  ASSERT_EQ(brute.size(), grid.size());
-  // Same neighbor sets (order may tie-break differently).
-  EXPECT_DOUBLE_EQ(neighborhood_change_fraction(brute, grid, k), 0.0);
-}
-
 TEST(Knn, PaddingWhenFewerCandidates) {
   std::vector<Vec3> pts{{0, 0, 0}, {1, 0, 0}};
   const auto idx = knn_self(pts, 4, true);

@@ -225,24 +225,8 @@ TEST(SmoothnessProps, ScalesLinearlyWithUniformScale) {
 }
 
 // ---------------------------------------------------------------------------
-// kNN / sampling sweeps.
+// Sampling sweeps.
 // ---------------------------------------------------------------------------
-
-class KnnSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(KnnSweep, GridAgreesWithBruteForce) {
-  const auto [n, k] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(n * 13 + k));
-  std::vector<Vec3> pts(static_cast<size_t>(n));
-  for (auto& p : pts) p = {rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(0, 3)};
-  const auto brute = knn_self(pts, k, true);
-  const auto grid = knn_self_grid(pts, k, true);
-  EXPECT_DOUBLE_EQ(neighborhood_change_fraction(brute, grid, k), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, KnnSweep,
-                         ::testing::Combine(::testing::Values(50, 200, 600),
-                                            ::testing::Values(1, 4, 9)));
 
 class FpsSweep : public ::testing::TestWithParam<int> {};
 
