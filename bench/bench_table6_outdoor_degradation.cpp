@@ -2,42 +2,36 @@
 // (Semantic3D substitute) against RandLA-Net — the only paper model that
 // scales to these clouds — comparing random noise with the norm-unbounded
 // attack at matched L2.
+//
+// Thin wrapper over the registered "table6" spec: the runner executes
+// (or replays from artifacts/results/) and this binary only formats.
+// `pcss_run run table6` produces the same numbers from the same cache.
 #include "bench_common.h"
+#include "pcss/runner/executor.h"
+#include "pcss/runner/zoo_provider.h"
 
-using namespace pcss::core;
-using pcss::bench::base_config;
 using pcss::bench::print_baw;
 using pcss::bench::print_header;
-using pcss::bench::scale;
+using pcss::bench::print_perf;
 
 int main() {
   print_header("Table VI - outdoor performance degradation, RandLA-Net");
-  pcss::train::ModelZoo zoo;
-  auto model = zoo.randla_outdoor();
-  const auto clouds = zoo.outdoor_eval_scenes(scale().scenes);
+  pcss::runner::ZooModelProvider provider;
+  pcss::runner::ResultStore store;
+  const pcss::runner::ExperimentSpec* spec = pcss::runner::find_spec("table6");
+  const pcss::runner::RunOutcome out = pcss::runner::run_spec(*spec, provider, store);
 
-  const SegMetrics clean = clean_metrics(*model, clouds);
-  std::printf("\nClean baseline: Acc=%.2f%%  aIoU=%.2f%%  (%d scenes, %lld pts each)\n",
-              100.0 * clean.accuracy, 100.0 * clean.aiou, scale().scenes,
-              static_cast<long long>(clouds.front().size()));
-
-  AttackConfig unbounded = base_config(AttackNorm::kUnbounded, AttackField::kColor);
-  unbounded.success_accuracy = 1.0f / 8.0f;  // 8 outdoor classes
-  std::vector<CaseRecord> unb_records, noise_records;
-  for (size_t i = 0; i < clouds.size(); ++i) {
-    const AttackResult adv = AttackEngine(*model, unbounded).run(clouds[i]);
-    const SegMetrics m = evaluate_segmentation(adv.predictions, clouds[i].labels, 8);
-    unb_records.push_back({adv.l2_color, m.accuracy, m.aiou});
-    const AttackResult noise =
-        random_noise_baseline(*model, clouds[i], adv.l2_color, 8000 + i);
-    const SegMetrics mn = evaluate_segmentation(noise.predictions, clouds[i].labels, 8);
-    noise_records.push_back({noise.l2_color, mn.accuracy, mn.aiou});
+  for (const pcss::runner::ModelSection& section : out.document.models) {
+    std::printf("\n--- %s (clean Acc=%.2f%%, aIoU=%.2f%%) ---\n", section.model.c_str(),
+                100.0 * section.clean_accuracy, 100.0 * section.clean_aiou);
+    std::printf("[Random noise]\n");
+    print_baw(pcss::runner::find_variant(section, "random-noise").aggregate, "L2");
+    std::printf("[Norm-unbounded]\n");
+    print_baw(pcss::runner::find_variant(section, "norm-unbounded").aggregate, "L2");
   }
-  std::printf("\n[Random noise]\n");
-  print_baw(aggregate_cases(noise_records), "L2");
-  std::printf("[Norm-unbounded]\n");
-  print_baw(aggregate_cases(unb_records), "L2");
-
+  print_perf(out.cache_hit ? "table6 run_spec (cache hit)" : "table6 run_spec",
+             out.wall_seconds, out.attack_steps);
+  std::printf("  result document: %s\n", out.path.c_str());
   std::printf("\nExpected shape (paper Table VI): the unbounded attack drops outdoor\n"
               "accuracy near the 1/8 random-guess floor while equal-L2 random noise\n"
               "leaves the model mostly intact; per-scene variance is larger than\n"

@@ -3,9 +3,11 @@
 // "pre-trained" PointNet++ (seed 1) evaluated on an independently
 // "self-trained" PointNet++ (seed 2). Lower block: samples generated on
 // ResGCN evaluated on PointNet++ (cross-family). Raw-unit perturbations
-// make the paper's range-remapping step implicit (see core/transfer.h).
+// make the paper's range-remapping step implicit. A transferred sample
+// is scored like the defense grid's undefended cell: run_defended with
+// the identity pipeline.
 #include "bench_common.h"
-#include "pcss/core/transfer.h"
+#include "pcss/core/defense_stage.h"
 
 using namespace pcss::core;
 using pcss::bench::base_config;
@@ -38,13 +40,15 @@ int main() {
 
   TransferRow pre_self_attack, self_transfer;
   TransferRow rg_self_attack, rg_to_pn;
+  Rng unused(0);  // the identity pipeline never draws
   for (const auto& cloud : clouds) {
     // Upper block: PN++(pre-trained) -> PN++(self-trained).
     const AttackResult adv_pn = AttackEngine(*pn_pre, config).run(cloud);
     const SegMetrics m_self = evaluate_segmentation(adv_pn.predictions, cloud.labels, 13);
     pre_self_attack.acc += m_self.accuracy;
     pre_self_attack.aiou += m_self.aiou;
-    const SegMetrics m_tr = evaluate_transfer(*pn_self, adv_pn.perturbed, 13);
+    const SegMetrics m_tr =
+        run_defended(*pn_self, DefensePipeline{}, adv_pn.perturbed, 13, unused).metrics;
     self_transfer.acc += m_tr.accuracy;
     self_transfer.aiou += m_tr.aiou;
 
@@ -53,7 +57,8 @@ int main() {
     const SegMetrics m_rg = evaluate_segmentation(adv_rg.predictions, cloud.labels, 13);
     rg_self_attack.acc += m_rg.accuracy;
     rg_self_attack.aiou += m_rg.aiou;
-    const SegMetrics m_x = evaluate_transfer(*pn_pre, adv_rg.perturbed, 13);
+    const SegMetrics m_x =
+        run_defended(*pn_pre, DefensePipeline{}, adv_rg.perturbed, 13, unused).metrics;
     rg_to_pn.acc += m_x.accuracy;
     rg_to_pn.aiou += m_x.aiou;
   }

@@ -16,7 +16,7 @@
 
 #include "pcss/core/attack_engine.h"
 #include "pcss/core/defended_model.h"
-#include "pcss/core/defense.h"
+#include "pcss/core/defense_stage.h"
 #include "pcss/core/metrics.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"

@@ -25,10 +25,10 @@ struct DefendedModelOptions {
   int eot_samples = 1;
 };
 
-/// Wraps any SegmentationModel so that attacks, `attack_cases`,
-/// `evaluate_transfer`, and `AttackEngine::run_batch` run unchanged
-/// *through* a defense pipeline — the adaptive-adversary setting where
-/// the attacker knows and differentiates the defense.
+/// Wraps any SegmentationModel so that attacks, `attack_cases` and
+/// `AttackEngine::run_batch` run unchanged *through* a defense
+/// pipeline — the adaptive-adversary setting where the attacker knows
+/// and differentiates the defense.
 ///
 /// forward() implements attack-through-defense semantics:
 ///   1. the incoming deltas are applied numerically and the pipeline

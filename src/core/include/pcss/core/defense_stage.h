@@ -23,9 +23,7 @@ using pcss::tensor::Rng;
 // Stages carry an explicit surviving-index map so chained point-dropping
 // defenses never lose the defended-point <-> ground-truth alignment, and
 // a stable describe() string so pipelines hash into the runner's
-// content-addressed result keys. The legacy free functions in defense.h
-// and transfer.h are thin wrappers over this API (bit-exact; enforced by
-// tests/defense_pipeline_test.cpp).
+// content-addressed result keys.
 // ---------------------------------------------------------------------------
 
 /// Result of one stage (or a whole pipeline): the defended cloud plus
@@ -109,7 +107,7 @@ class DefensePipeline {
 
 /// Simple Random Sampling (paper §V-F): drops `remove_count` uniformly
 /// chosen points. Throws on apply when remove_count is negative or >=
-/// the cloud size (matching srs_defense).
+/// the cloud size.
 std::shared_ptr<const DefenseStage> make_srs_stage(std::int64_t remove_count);
 
 /// SRS sized relative to the cloud: drops floor(n * remove_fraction)
@@ -151,8 +149,9 @@ struct DefenseReport {
 };
 
 /// Applies `pipeline` to `cloud`, predicts with `model`, smooths, and
-/// scores. The building block under evaluate_defended, evaluate_transfer
-/// and the defense grid.
+/// scores. The building block under the defense grid and the transfer
+/// table; the identity pipeline scores an undefended (e.g. transferred)
+/// cloud.
 DefenseReport run_defended(SegmentationModel& model, const DefensePipeline& pipeline,
                            const PointCloud& cloud, int num_classes, Rng& rng);
 

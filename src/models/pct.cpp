@@ -62,9 +62,7 @@ Tensor PctSeg::forward(const ModelInput& input, bool training) {
     // Fused row broadcast: weights each value row by its attention score
     // without materializing the [N*k, dim] broadcast matrix.
     Tensor pooled = ops::segment_sum(ops::mul_rows(v_j, att), k);  // [N, dim]
-    // Residual. Not add_inplace: the block output ends in bn_relu_eval,
-    // whose backward reads its own output, so the buffer is not stealable.
-    h = ops::add(h, block.out->forward(pooled, training));
+    h = ops::add(h, block.out->forward(pooled, training));  // residual
   }
   Tensor d = ops::dropout(h, config_.dropout, dropout_rng_, training);
   return head_.forward(d, training);

@@ -46,9 +46,7 @@ Tensor ResGCNSeg::forward(const ModelInput& input, bool training) {
     // gather/repeat/sub/concat chain and its three [N*k, *] temporaries.
     Tensor edge = ops::edge_features(h, idx, k);
     Tensor msg = block_mlps_[static_cast<size_t>(b)]->forward(edge, training);
-    // Residual connection; the pooled message uniquely owns its buffer,
-    // so the add runs in place.
-    h = ops::add_inplace(ops::segment_max(msg, k), h);
+    h = ops::add(ops::segment_max(msg, k), h);  // residual
   }
   Tensor d = ops::dropout(h, config_.dropout, dropout_rng_, training);
   return head_.forward(d, training);

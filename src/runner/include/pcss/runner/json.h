@@ -64,8 +64,14 @@ class Json {
   std::string dump_compact() const;
 
   /// Parses a complete JSON document; throws std::runtime_error with the
-  /// byte offset on malformed input or trailing garbage.
+  /// byte offset on malformed input, trailing garbage, or containers
+  /// nested deeper than kMaxParseDepth.
   static Json parse(const std::string& text);
+
+  /// Nesting cap of parse(). The parser recurses once per level, so an
+  /// uncapped depth lets one hostile line overflow the stack; stored
+  /// documents nest a handful of levels.
+  static constexpr int kMaxParseDepth = 256;
 
  private:
   void dump_to(std::string& out, int depth) const;

@@ -102,8 +102,15 @@ class Parser {
   Json parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > Json::kMaxParseDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxParseDepth));
+        }
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -207,6 +214,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

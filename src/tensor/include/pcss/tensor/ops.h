@@ -19,12 +19,6 @@ Tensor add(const Tensor& a, const Tensor& b);
 Tensor sub(const Tensor& a, const Tensor& b);
 Tensor mul(const Tensor& a, const Tensor& b);
 
-/// In-place add: consumes `a` (pass with std::move) and reuses its buffer
-/// for the result when the node uniquely owns it; otherwise falls back to
-/// the allocating add(). Autograd-safe (add's backward never reads the
-/// overwritten values). Bitwise-identical to add(a, b).
-Tensor add_inplace(Tensor a, const Tensor& b);
-
 // -- Scalar broadcast ---------------------------------------------------------
 Tensor scale(const Tensor& a, float s);
 Tensor add_scalar(const Tensor& a, float s);
@@ -45,13 +39,7 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias);
 
 // -- Nonlinearities -------------------------------------------------------------
 Tensor relu(const Tensor& a);
-/// In-place relu: consumes `a` (pass with std::move) and reuses its
-/// buffer when uniquely owned; falls back to relu() otherwise. Backward
-/// uses the output sign (relu(x) > 0 iff x > 0).
-Tensor relu_inplace(Tensor a);
-Tensor leaky_relu(const Tensor& a, float negative_slope);
 Tensor tanh_op(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
 Tensor square(const Tensor& a);
 
 // -- Reductions -----------------------------------------------------------------

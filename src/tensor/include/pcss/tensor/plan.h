@@ -126,9 +126,7 @@ class PlanBuilder {
 namespace detail {
 
 /// True while the current thread is inside an active PlanBuilder. ops.cpp
-/// checks this in make_node (to record) and in the in-place fast paths
-/// (which must fall back to their allocating forms during capture: a
-/// stolen operand buffer could not be replayed).
+/// checks this in make_node to record each node.
 bool recording() noexcept;
 
 /// Appends a freshly built gradient-carrying node to the recording

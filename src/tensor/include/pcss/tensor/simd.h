@@ -73,21 +73,16 @@ struct Kernels {
   void (*ew_add_scalar)(const float* a, float s, float* y, std::size_t n);
   void (*ew_square)(const float* a, float* y, std::size_t n);
   void (*ew_relu)(const float* a, float* y, std::size_t n);
-  void (*ew_leaky_relu)(const float* a, float slope, float* y, std::size_t n);
 
   // -- Elementwise accumulators (backward rules; all do y[i] += ...) ---------
   void (*acc_add)(float* y, const float* g, std::size_t n);            ///< y += g
   void (*acc_scalar)(float* y, float s, std::size_t n);                ///< y += s
   void (*acc_axpy)(float* y, const float* x, float s, std::size_t n);  ///< y += s*x
   void (*acc_mul)(float* y, const float* g, const float* x, std::size_t n);  ///< y += g*x
-  /// y += g * (ref > 0 ? 1 : 0)   (relu backward; ref = input or output)
+  /// y += g * (ref > 0 ? 1 : 0)   (relu backward; ref = the relu input)
   void (*acc_relu_mask)(float* y, const float* g, const float* ref, std::size_t n);
-  /// y += g * (ref > 0 ? 1 : slope)
-  void (*acc_leaky_mask)(float* y, const float* g, const float* ref, float slope,
-                         std::size_t n);
   void (*acc_square_bw)(float* y, const float* g, const float* x, std::size_t n);
   void (*acc_tanh_bw)(float* y, const float* g, const float* t, std::size_t n);
-  void (*acc_sigmoid_bw)(float* y, const float* g, const float* s, std::size_t n);
 
   // -- Row-structured [n, c] -------------------------------------------------
   /// y[i,j] = x[i,j] + b[j]; y may alias x (in-place bias epilogue).

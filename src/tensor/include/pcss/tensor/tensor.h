@@ -71,10 +71,6 @@ struct TensorImpl {
   std::int64_t op_i1 = 0;
   float op_f0 = 0.0f;
   bool op_flag = false;
-  /// True when backward_fn reads this node's own `data` (tanh, sigmoid,
-  /// softmax, fused BN+ReLU...). In-place ops must not steal the value
-  /// buffer of such a node.
-  bool backward_reads_output = false;
   /// Set by release_graph() on nodes that carried backward state: a
   /// later backward() visiting such a node fails loudly instead of
   /// silently producing truncated gradients.

@@ -28,7 +28,6 @@ struct NodeArgs {
   std::int64_t i1 = 0;
   float f0 = 0.0f;
   bool flag = false;
-  bool needs_output = false;  ///< backward reads the node's own data
   std::unique_ptr<BackwardCtx> ctx;
   ForwardFn fwd = nullptr;  ///< replay rule; null marks the op uncapturable
 };
@@ -53,7 +52,6 @@ Tensor make_node(Shape shape, FloatBuffer data, std::vector<TensorImplPtr> paren
     impl->op_i1 = args.i1;
     impl->op_f0 = args.f0;
     impl->op_flag = args.flag;
-    impl->backward_reads_output = args.needs_output;
     impl->ctx = std::move(args.ctx);
     impl->forward_fn = args.fwd;
     // Creation order is a valid topological order (parents exist before
@@ -235,24 +233,6 @@ void relu_bw(TensorImpl& node) {
                                node.grad.size());
 }
 
-/// In-place relu: the node owns the (transformed) buffer, so the sign of
-/// the *output* stands in for the input sign (relu(x) > 0 iff x > 0).
-void relu_inplace_bw(TensorImpl& node) {
-  TensorImpl* pa = parent(node, 0);
-  if (!pa->requires_grad) return;
-  pa->ensure_grad();
-  simd::active().acc_relu_mask(pa->grad.data(), node.grad.data(), node.data.data(),
-                               node.grad.size());
-}
-
-void leaky_relu_bw(TensorImpl& node) {
-  TensorImpl* pa = parent(node, 0);
-  if (!pa->requires_grad) return;
-  pa->ensure_grad();
-  simd::active().acc_leaky_mask(pa->grad.data(), node.grad.data(), pa->data.data(),
-                                node.op_f0, node.grad.size());
-}
-
 void tanh_bw(TensorImpl& node) {
   TensorImpl* pa = parent(node, 0);
   if (!pa->requires_grad) return;
@@ -260,14 +240,6 @@ void tanh_bw(TensorImpl& node) {
   // node.data is the node's own output; no saved copy.
   simd::active().acc_tanh_bw(pa->grad.data(), node.grad.data(), node.data.data(),
                              node.grad.size());
-}
-
-void sigmoid_bw(TensorImpl& node) {
-  TensorImpl* pa = parent(node, 0);
-  if (!pa->requires_grad) return;
-  pa->ensure_grad();
-  simd::active().acc_sigmoid_bw(pa->grad.data(), node.grad.data(), node.data.data(),
-                                node.grad.size());
 }
 
 void square_bw(TensorImpl& node) {
@@ -778,21 +750,9 @@ void relu_fwd(TensorImpl& node) {
                          node.data.size());
 }
 
-void leaky_relu_fwd(TensorImpl& node) {
-  simd::active().ew_leaky_relu(parent(node, 0)->data.data(), node.op_f0,
-                               node.data.data(), node.data.size());
-}
-
 void tanh_fwd(TensorImpl& node) {
   const float* pa = parent(node, 0)->data.data();
   for (size_t i = 0; i < node.data.size(); ++i) node.data[i] = std::tanh(pa[i]);
-}
-
-void sigmoid_fwd(TensorImpl& node) {
-  const float* pa = parent(node, 0)->data.data();
-  for (size_t i = 0; i < node.data.size(); ++i) {
-    node.data[i] = 1.0f / (1.0f + std::exp(-pa[i]));
-  }
 }
 
 void square_fwd(TensorImpl& node) {
@@ -1083,25 +1043,6 @@ Tensor add(const Tensor& a, const Tensor& b) {
                    {.fwd = add_fwd});
 }
 
-Tensor add_inplace(Tensor a, const Tensor& b) {
-  check_same_shape(a, b, "add_inplace");
-  TensorImplPtr ia = a.impl();
-  a = Tensor();  // drop the caller-moved handle so uniqueness is observable
-  if (plan::detail::recording() || ia.use_count() != 1 || !ia->grad.empty() ||
-      ia->backward_reads_output) {
-    // Shared storage (another handle or graph edge), a live gradient, or
-    // a node whose own backward needs its output values: fall back to the
-    // allocating op. A plan capture also forces the fallback — a stolen
-    // operand buffer could not be recomputed at replay — and acc_add(a += b)
-    // is bit-identical to ew_add per element, so capture changes no bytes.
-    return add(Tensor(std::move(ia)), b);
-  }
-  FloatBuffer out = std::move(ia->data);
-  simd::active().acc_add(out.data(), b.data(), out.size());
-  Shape shape = ia->shape;  // before ia moves into the parents list
-  return make_node(std::move(shape), std::move(out), {std::move(ia), b.impl()}, add_bw);
-}
-
 Tensor sub(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "sub");
   FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
@@ -1197,49 +1138,12 @@ Tensor relu(const Tensor& a) {
   return make_node(a.shape(), std::move(out), {a.impl()}, relu_bw, {.fwd = relu_fwd});
 }
 
-Tensor relu_inplace(Tensor a) {
-  check(a.defined(), "relu_inplace: undefined input");
-  TensorImplPtr ia = a.impl();
-  a = Tensor();
-  if (plan::detail::recording() || ia.use_count() != 1 || !ia->grad.empty() ||
-      ia->backward_reads_output) {
-    // See add_inplace: capture forces the allocating fallback. The output
-    // values are identical, and so are the gradients — relu_bw masks by the
-    // input sign, relu_inplace_bw by the output sign, and relu(x) > 0 iff
-    // x > 0.
-    return relu(Tensor(std::move(ia)));
-  }
-  FloatBuffer out = std::move(ia->data);
-  simd::active().ew_relu(out.data(), out.data(), out.size());
-  Shape shape = ia->shape;  // before ia moves into the parents list
-  return make_node(std::move(shape), std::move(out), {std::move(ia)}, relu_inplace_bw,
-                   {.needs_output = true});
-}
-
-Tensor leaky_relu(const Tensor& a, float negative_slope) {
-  check(a.defined(), "leaky_relu: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_leaky_relu(a.data(), negative_slope, out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl()}, leaky_relu_bw,
-                   {.f0 = negative_slope, .fwd = leaky_relu_fwd});
-}
-
 Tensor tanh_op(const Tensor& a) {
   check(a.defined(), "tanh: undefined input");
   FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
   const float* pa = a.data();
   for (size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(pa[i]);
-  return make_node(a.shape(), std::move(out), {a.impl()}, tanh_bw,
-                   {.needs_output = true, .fwd = tanh_fwd});
-}
-
-Tensor sigmoid(const Tensor& a) {
-  check(a.defined(), "sigmoid: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  const float* pa = a.data();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = 1.0f / (1.0f + std::exp(-pa[i]));
-  return make_node(a.shape(), std::move(out), {a.impl()}, sigmoid_bw,
-                   {.needs_output = true, .fwd = sigmoid_fwd});
+  return make_node(a.shape(), std::move(out), {a.impl()}, tanh_bw, {.fwd = tanh_fwd});
 }
 
 Tensor square(const Tensor& a) {
@@ -1285,7 +1189,7 @@ Tensor sqrt_op(const Tensor& a, float eps) {
   const float* pa = a.data();
   for (size_t i = 0; i < out.size(); ++i) out[i] = std::sqrt(std::max(pa[i] + eps, 0.0f));
   return make_node(a.shape(), std::move(out), {a.impl()}, sqrt_bw,
-                   {.f0 = eps, .needs_output = true, .fwd = sqrt_fwd});
+                   {.f0 = eps, .fwd = sqrt_fwd});
 }
 
 // ---------------------------------------------------------------------------
@@ -1567,7 +1471,7 @@ Tensor segment_softmax(const Tensor& x, std::int64_t k) {
   simd::active().segment_softmax(x.data(), out.data(), scratch.data(), n, k, c);
   pool::release(std::move(scratch));
   return make_node(x.shape(), std::move(out), {x.impl()}, segment_softmax_bw,
-                   {.i0 = k, .needs_output = true, .fwd = segment_softmax_fwd});
+                   {.i0 = k, .fwd = segment_softmax_fwd});
 }
 
 // ---------------------------------------------------------------------------
@@ -1580,7 +1484,7 @@ Tensor log_softmax_rows(const Tensor& x) {
   FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
   simd::active().log_softmax_rows(x.data(), out.data(), n, c);
   return make_node(x.shape(), std::move(out), {x.impl()}, log_softmax_rows_bw,
-                   {.needs_output = true, .fwd = log_softmax_rows_fwd});
+                   {.fwd = log_softmax_rows_fwd});
 }
 
 Tensor nll_loss_masked(const Tensor& log_probs, const std::vector<int>& labels,
@@ -1753,8 +1657,7 @@ Tensor bn_relu_eval(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   simd::active().bn_relu_eval(x.data(), gamma.data(), beta.data(), mean, inv_std,
                               out.data(), n, c);
   return make_node(x.shape(), std::move(out), {x.impl(), gamma.impl(), beta.impl()},
-                   bn_relu_eval_bw,
-                   {.needs_output = true, .ctx = std::move(ctx), .fwd = bn_relu_eval_fwd});
+                   bn_relu_eval_bw, {.ctx = std::move(ctx), .fwd = bn_relu_eval_fwd});
 }
 
 Tensor dropout(const Tensor& x, float p, Rng& rng, bool training) {

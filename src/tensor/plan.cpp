@@ -13,7 +13,7 @@ namespace pcss::tensor::plan {
 namespace {
 
 /// Per-thread capture state. One PlanBuilder owns this at a time; the
-/// recording flag is what make_node and the in-place fast paths poll.
+/// recording flag is what make_node polls.
 struct Recorder {
   bool active = false;
   bool backward_captured = false;

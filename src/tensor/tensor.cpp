@@ -45,8 +45,8 @@ TensorImpl::~TensorImpl() {
 }
 
 void TensorImpl::ensure_grad() {
-  // Sized from the shape, not data.size(): in-place ops may have moved
-  // this node's value buffer into their result node.
+  // Sized from the shape, the size every backward rule indexes the
+  // gradient by, so it never depends on how the value buffer was filled.
   const size_t n = static_cast<size_t>(shape_numel(shape));
   if (grad.size() != n) {
     pool::release(std::move(grad));

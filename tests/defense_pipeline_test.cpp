@@ -19,9 +19,7 @@
 #include "knn_oracle.h"
 #include "pcss/core/attack_engine.h"
 #include "pcss/core/defended_model.h"
-#include "pcss/core/defense.h"
 #include "pcss/core/defense_grid.h"
-#include "pcss/core/transfer.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/resgcn.h"
 
@@ -50,57 +48,6 @@ std::shared_ptr<ResGCNSeg> tiny_model(std::uint64_t seed = 9) {
 
 bool same_cloud(const pcss::data::PointCloud& a, const pcss::data::PointCloud& b) {
   return a.positions == b.positions && a.colors == b.colors && a.labels == b.labels;
-}
-
-// ---------------------------------------------------------------------------
-// Wrapper equivalence (the free functions are thin pipeline wrappers)
-// ---------------------------------------------------------------------------
-
-TEST(DefenseWrappers, SrsDefenseEqualsSrsStageBitExactly) {
-  const auto cloud = scene(200, 3);
-  Rng rng_a(17), rng_b(17);
-  const auto via_wrapper = srs_defense(cloud, 40, rng_a);
-  const auto via_stage = make_srs_stage(40)->apply(cloud, rng_b);
-  EXPECT_TRUE(same_cloud(via_wrapper, via_stage.cloud));
-  ASSERT_EQ(via_stage.kept.size(), 160u);
-  for (size_t i = 0; i < via_stage.kept.size(); ++i) {
-    EXPECT_EQ(via_stage.cloud.positions[i],
-              cloud.positions[static_cast<size_t>(via_stage.kept[i])]);
-  }
-}
-
-TEST(DefenseWrappers, SorDefenseEqualsSorStageBitExactly) {
-  const auto cloud = scene(220, 4);
-  Rng unused(0);
-  const auto via_wrapper = sor_defense(cloud, 2, 1.0f, 1.0f);
-  const auto via_stage = make_sor_stage(2, 1.0f, 1.0f)->apply(cloud, unused);
-  EXPECT_TRUE(same_cloud(via_wrapper, via_stage.cloud));
-}
-
-TEST(DefenseWrappers, EvaluateDefendedEqualsRunDefendedOnTheWrapperPath) {
-  auto model = tiny_model();
-  const auto cloud = scene(150, 5);
-  Rng rng_a(23), rng_b(23);
-  const auto defended = srs_defense(cloud, 30, rng_a);
-  const DefendedEval legacy = evaluate_defended(*model, defended, 13);
-
-  DefensePipeline pipeline;
-  pipeline.add(make_srs_stage(30));
-  const DefenseReport report = run_defended(*model, pipeline, cloud, 13, rng_b);
-  EXPECT_EQ(legacy.accuracy, report.metrics.accuracy);
-  EXPECT_EQ(legacy.aiou, report.metrics.aiou);
-  EXPECT_EQ(legacy.points_kept, report.outcome.cloud.size());
-}
-
-TEST(DefenseWrappers, EvaluateTransferEqualsIdentityPipelineMetrics) {
-  auto model = tiny_model();
-  const auto cloud = scene(140, 6);
-  const SegMetrics legacy = evaluate_transfer(*model, cloud, 13);
-  Rng unused(0);
-  const DefenseReport report = run_defended(*model, DefensePipeline{}, cloud, 13, unused);
-  EXPECT_EQ(legacy.accuracy, report.metrics.accuracy);
-  EXPECT_EQ(legacy.aiou, report.metrics.aiou);
-  EXPECT_EQ(legacy.per_class_iou, report.metrics.per_class_iou);
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +365,7 @@ TEST(DefendedModelTest, EotAveragesResamplesAndStaysDeterministic) {
 // Defense grid driver
 // ---------------------------------------------------------------------------
 
-TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
+TEST(DefenseGridTest, CellsEqualDirectRunDefended) {
   auto source = tiny_model(9);
   auto other = tiny_model(10);
   const std::vector<pcss::data::PointCloud> clouds = {scene(96, 18), scene(96, 19)};
@@ -441,15 +388,18 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
   ASSERT_EQ(grid.attacks.size(), 2u);
   EXPECT_EQ(grid.attacks[0].steps, (std::vector<long long>{0, 0}));
 
-  // The (clean, none, other) cell is exactly evaluate_transfer on the
-  // clean clouds; (bounded, none, source) matches the engine + transfer
-  // composition under the seed + index convention.
+  // The (clean, none, other) cell is exactly run_defended through the
+  // identity pipeline on the clean clouds; (bounded, none, source)
+  // matches the engine + identity-pipeline composition under the seed +
+  // index convention.
   const auto& clean_transfer = grid.cells[1];
   EXPECT_EQ(clean_transfer.attack, "clean");
   EXPECT_EQ(clean_transfer.defense, "none");
   EXPECT_EQ(clean_transfer.victim, "other");
+  Rng unused(0);  // the identity pipeline never draws
   for (size_t g = 0; g < clouds.size(); ++g) {
-    const SegMetrics direct = evaluate_transfer(*other, clouds[g], 13);
+    const SegMetrics direct =
+        run_defended(*other, DefensePipeline{}, clouds[g], 13, unused).metrics;
     EXPECT_EQ(clean_transfer.cases[g].accuracy, direct.accuracy);
     EXPECT_EQ(clean_transfer.cases[g].aiou, direct.aiou);
   }
@@ -458,7 +408,8 @@ TEST(DefenseGridTest, SubsumesEvaluateDefendedAndEvaluateTransfer) {
   AttackEngine engine(*source, config);
   for (size_t g = 0; g < clouds.size(); ++g) {
     const AttackResult adv = engine.run(clouds[g], config.seed + g);
-    const SegMetrics self = evaluate_transfer(*source, adv.perturbed, 13);
+    const SegMetrics self =
+        run_defended(*source, DefensePipeline{}, adv.perturbed, 13, unused).metrics;
     const GridCell& cell = grid.cells[4];  // bounded x none x source
     EXPECT_EQ(cell.attack, "bounded");
     EXPECT_EQ(cell.victim, "source");

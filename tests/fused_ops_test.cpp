@@ -171,52 +171,4 @@ TEST(FusedOps, MulRowsMatchesBroadcastMatmul) {
       {n, c}, random_values(n * c, rng));
 }
 
-TEST(FusedOps, AddInplaceReusesBufferAndMatchesAdd) {
-  Rng rng(131);
-  const auto av = random_values(12, rng), bv = random_values(12, rng);
-  Tensor base1 = leaf({3, 4}, av);
-  Tensor base2 = leaf({3, 4}, av);
-  Tensor other = Tensor::from_data({3, 4}, bv);
-
-  // Uniquely-owned op output: the buffer must be reused in place.
-  Tensor fresh = ops::scale(base1, 1.5f);
-  const float* buffer = fresh.data();
-  Tensor fused = ops::add_inplace(std::move(fresh), other);
-  EXPECT_EQ(fused.data(), buffer) << "uniquely-owned buffer must be stolen";
-  Tensor unfused = ops::add(ops::scale(base2, 1.5f), other);
-  backward_and_compare(fused, unfused, {{base1, base2}});
-
-  // Shared handle: falls back to the allocating add and leaves the
-  // original values untouched.
-  Tensor a = leaf({2, 2}, {1, 2, 3, 4});
-  Tensor kept = ops::scale(a, 2.0f);
-  Tensor copy = kept;  // second handle -> not uniquely owned
-  Tensor out = ops::add_inplace(std::move(copy), Tensor::full({2, 2}, 1.0f));
-  EXPECT_NE(out.data(), kept.data());
-  EXPECT_FLOAT_EQ(kept.at(0), 2.0f) << "fallback must not mutate the shared buffer";
-  EXPECT_FLOAT_EQ(out.at(0), 3.0f);
-}
-
-TEST(FusedOps, ReluInplaceReusesBufferAndMatchesRelu) {
-  Rng rng(137);
-  const auto av = random_values(10, rng);
-  Tensor base1 = leaf({2, 5}, av);
-  Tensor base2 = leaf({2, 5}, av);
-  Tensor fresh = ops::scale(base1, 2.0f);
-  const float* buffer = fresh.data();
-  Tensor fused = ops::relu_inplace(std::move(fresh));
-  EXPECT_EQ(fused.data(), buffer);
-  Tensor unfused = ops::relu(ops::scale(base2, 2.0f));
-  backward_and_compare(fused, unfused, {{base1, base2}});
-
-  // A node whose backward reads its own output (tanh) must not be stolen.
-  Tensor c1 = leaf({2, 5}, av);
-  Tensor t = ops::tanh_op(c1);
-  const float* tbuf = t.data();
-  Tensor safe = ops::relu_inplace(std::move(t));
-  EXPECT_NE(safe.data(), tbuf) << "tanh output must survive for its backward";
-  ops::sum(safe).backward();
-  ASSERT_FALSE(c1.grad().empty());
-}
-
 }  // namespace

@@ -3,10 +3,9 @@
 #include <algorithm>
 
 #include "pcss/core/attack_engine.h"
-#include "pcss/core/defense.h"
+#include "pcss/core/defense_stage.h"
 #include "pcss/core/experiment.h"
 #include "pcss/core/metrics.h"
-#include "pcss/core/transfer.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/pointnet2.h"
 #include "pcss/train/trainer.h"
@@ -92,10 +91,12 @@ TEST_F(PipelineTest, AttackThenDefendPipeline) {
   // SOR removes some perturbed points; accuracy on the defended cloud
   // should not be lower than the undefended adversarial accuracy by much
   // (defense never makes things dramatically worse).
-  const auto defended = sor_defense(adv.perturbed, 2, 1.0f, 1.0f);
-  const DefendedEval eval = evaluate_defended(*model_a_, defended, 13);
-  EXPECT_LE(defended.size(), adv.perturbed.size());
-  EXPECT_GE(eval.accuracy, 0.0);
+  DefensePipeline sor;
+  sor.add(make_sor_stage(2, 1.0f, 1.0f));
+  Rng unused(0);  // SOR is deterministic; the pipeline never draws
+  const DefenseReport report = run_defended(*model_a_, sor, adv.perturbed, 13, unused);
+  EXPECT_LE(report.outcome.cloud.size(), adv.perturbed.size());
+  EXPECT_GE(report.metrics.accuracy, 0.0);
 }
 
 TEST_F(PipelineTest, AdversarialSampleTransfersAcrossSeeds) {
@@ -104,8 +105,12 @@ TEST_F(PipelineTest, AdversarialSampleTransfersAcrossSeeds) {
   config.cw_steps = 25;
   const AttackResult adv = AttackEngine(*model_a_, config).run(*cloud_);
   const auto self = evaluate_segmentation(adv.predictions, cloud_->labels, 13);
-  const auto transferred = evaluate_transfer(*model_b_, adv.perturbed, 13);
-  const auto clean_b = evaluate_transfer(*model_b_, *cloud_, 13);
+  // A transferred sample is scored through the identity pipeline.
+  Rng unused(0);
+  const auto transferred =
+      run_defended(*model_b_, DefensePipeline{}, adv.perturbed, 13, unused).metrics;
+  const auto clean_b =
+      run_defended(*model_b_, DefensePipeline{}, *cloud_, 13, unused).metrics;
   // Transfer is weaker than the white-box attack but should still hurt.
   EXPECT_LT(transferred.accuracy, clean_b.accuracy + 1e-9);
   EXPECT_GE(transferred.accuracy, self.accuracy - 1e-9);

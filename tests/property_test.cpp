@@ -10,7 +10,7 @@
 
 #include "gradcheck.h"
 #include "pcss/core/attack_engine.h"
-#include "pcss/core/defense.h"
+#include "pcss/core/defense_stage.h"
 #include "pcss/core/metrics.h"
 #include "pcss/data/indoor.h"
 #include "pcss/data/outdoor.h"
@@ -404,7 +404,7 @@ TEST_P(SrsSweep, RemovesRequestedFraction) {
   Rng rng(9);
   const auto cloud = gen.generate(rng);
   Rng def(10);
-  const auto defended = pcss::core::srs_defense(cloud, GetParam(), def);
+  const auto defended = pcss::core::make_srs_stage(GetParam())->apply(cloud, def).cloud;
   EXPECT_EQ(defended.size(), cloud.size() - GetParam());
 }
 

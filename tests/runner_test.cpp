@@ -84,6 +84,24 @@ TEST(RunnerJson, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("nope"), std::runtime_error);
 }
 
+TEST(RunnerJson, NestingIsCappedAtMaxParseDepth) {
+  const auto nested_arrays = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  const int cap = Json::kMaxParseDepth;
+  EXPECT_NO_THROW(Json::parse(nested_arrays(cap)));
+  EXPECT_THROW(Json::parse(nested_arrays(cap + 1)), std::runtime_error);
+  // Objects and arrays share one depth count.
+  std::string mixed;
+  for (int i = 0; i < cap; ++i) mixed += i % 2 == 0 ? "{\"a\":" : "[";
+  mixed += "[]";
+  for (int i = cap - 1; i >= 0; --i) mixed += i % 2 == 0 ? "}" : "]";
+  EXPECT_THROW(Json::parse(mixed), std::runtime_error);
+  // A line far deeper than the cap fails cleanly instead of recursing.
+  EXPECT_THROW(Json::parse(std::string(65000, '[')), std::runtime_error);
+}
+
 TEST_F(RunnerTest, StorePutGetEraseAndCounters) {
   ResultStore store(root_);
   EXPECT_FALSE(store.get("missing.json").has_value());

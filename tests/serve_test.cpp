@@ -24,12 +24,14 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pcss/runner/executor.h"
 #include "pcss/runner/json.h"
 #include "pcss/runner/result_store.h"
 #include "pcss/serve/config.h"
+#include "pcss/serve/protocol.h"
 #include "tiny_provider.h"
 
 extern char** environ;
@@ -230,6 +232,26 @@ double counter_of(const std::string& stats_payload, const std::string& name) {
   if (counters == nullptr) return 0;
   const Json* value = counters->find(name);
   return value != nullptr && value->type() == Json::Type::kNumber ? value->number() : 0;
+}
+
+/// A 65,000-byte run request nested far past Json::kMaxParseDepth: it
+/// fits under the default max_line_bytes, so only the parser's depth
+/// cap stands between it and a stack overflow on the event loop.
+std::string deeply_nested_request() {
+  std::string line = R"({"kind":"run","x":)";
+  line.resize(65000, '[');
+  return line;
+}
+
+/// The wire code and message parse_request rejects `line` with, or
+/// {0, ""} if it parses.
+std::pair<int, std::string> rejection(const std::string& line) {
+  try {
+    pcss::serve::parse_request(line);
+  } catch (const pcss::serve::ProtocolError& e) {
+    return {e.code(), e.what()};
+  }
+  return {0, ""};
 }
 
 /// The reference document: an in-process run_spec over the same
@@ -465,6 +487,40 @@ TEST_F(ServeTest, MalformedRequestsFailTheRequestNotTheConnection) {
   Json status = read_to_terminal(client, payload);
   ASSERT_EQ(event_kind(status), "status");
   EXPECT_EQ(num_field(status, "queued"), 0);
+
+  stop_daemon();
+}
+
+TEST(ServeProtocol, HostileRequestLinesAre400) {
+  EXPECT_EQ(rejection(deeply_nested_request()).first, 400);
+  // Integral doubles outside int's range (strtod turns 1e999 into inf)
+  // are rejected before the cast to int, not by the >= 0 check after it.
+  for (const char* threads : {"1e999", "-1e999", "3e9", "-3e9"}) {
+    const auto [code, message] =
+        rejection(std::string(R"({"kind":"run","spec":"mini","threads":)") + threads + "}");
+    EXPECT_EQ(code, 400) << threads;
+    EXPECT_NE(message.find("int range"), std::string::npos) << threads << ": " << message;
+  }
+  EXPECT_EQ(rejection(R"({"kind":"run","spec":"mini","threads":2})").first, 0);
+}
+
+TEST_F(ServeTest, DeeplyNestedLineGets400AndTheDaemonServesOn) {
+  start_daemon();
+  Client client;
+  ASSERT_TRUE(client.connect_unix(sock()));
+  ASSERT_TRUE(client.send_line(deeply_nested_request()));
+  std::string payload;
+  Json event = read_to_terminal(client, payload);
+  ASSERT_EQ(event_kind(event), "error");
+  EXPECT_EQ(num_field(event, "code"), 400);
+
+  // The daemon survived: the same connection and a fresh one both serve.
+  ASSERT_TRUE(client.send_line(R"({"kind":"status"})"));
+  EXPECT_EQ(event_kind(read_to_terminal(client, payload)), "status");
+  Client fresh;
+  ASSERT_TRUE(fresh.connect_unix(sock()));
+  ASSERT_TRUE(fresh.send_line(R"({"kind":"status"})"));
+  EXPECT_EQ(event_kind(read_to_terminal(fresh, payload)), "status");
 
   stop_daemon();
 }

@@ -170,9 +170,6 @@ TEST(SimdBitExact, ElementwiseMaps) {
     S.ew_add_scalar(a.data(), -0.3f, ys.data(), n);
     A.ew_add_scalar(a.data(), -0.3f, ya.data(), n);
     EXPECT_TRUE(bytes_equal(ys.data(), ya.data(), n)) << "ew_add_scalar n=" << n;
-    S.ew_leaky_relu(a.data(), 0.2f, ys.data(), n);
-    A.ew_leaky_relu(a.data(), 0.2f, ya.data(), n);
-    EXPECT_TRUE(bytes_equal(ys.data(), ya.data(), n)) << "ew_leaky_relu n=" << n;
   }
 }
 
@@ -197,15 +194,10 @@ TEST(SimdBitExact, ElementwiseAccumulators) {
         [&](float* y) { A.acc_mul(y, g.data(), x.data(), n); }, "acc_mul");
     run([&](float* y) { S.acc_relu_mask(y, g.data(), x.data(), n); },
         [&](float* y) { A.acc_relu_mask(y, g.data(), x.data(), n); }, "acc_relu_mask");
-    run([&](float* y) { S.acc_leaky_mask(y, g.data(), x.data(), 0.1f, n); },
-        [&](float* y) { A.acc_leaky_mask(y, g.data(), x.data(), 0.1f, n); },
-        "acc_leaky_mask");
     run([&](float* y) { S.acc_square_bw(y, g.data(), x.data(), n); },
         [&](float* y) { A.acc_square_bw(y, g.data(), x.data(), n); }, "acc_square_bw");
     run([&](float* y) { S.acc_tanh_bw(y, g.data(), x.data(), n); },
         [&](float* y) { A.acc_tanh_bw(y, g.data(), x.data(), n); }, "acc_tanh_bw");
-    run([&](float* y) { S.acc_sigmoid_bw(y, g.data(), x.data(), n); },
-        [&](float* y) { A.acc_sigmoid_bw(y, g.data(), x.data(), n); }, "acc_sigmoid_bw");
   }
 }
 
@@ -456,11 +448,6 @@ TEST(SimdBitExact, CompareSelectSpecialValues) {
     };
     run([&](float* y) { S.acc_relu_mask(y, g.data(), ref.data(), n); },
         [&](float* y) { A.acc_relu_mask(y, g.data(), ref.data(), n); }, "acc_relu_mask");
-    run([&](float* y) { S.acc_leaky_mask(y, g.data(), ref.data(), 0.1f, n); },
-        [&](float* y) { A.acc_leaky_mask(y, g.data(), ref.data(), 0.1f, n); },
-        "acc_leaky_mask");
-    run([&](float* y) { S.ew_leaky_relu(g.data(), 0.2f, y, n); },
-        [&](float* y) { A.ew_leaky_relu(g.data(), 0.2f, y, n); }, "ew_leaky_relu");
   }
 }
 

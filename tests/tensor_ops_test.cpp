@@ -231,11 +231,7 @@ TEST(OpsGradcheck, Nonlinearities) {
   std::vector<float> vals = random_values(10, rng, 0.2f, 1.0f);
   for (size_t i = 0; i < vals.size(); i += 2) vals[i] = -vals[i];
   expect_gradcheck([](const Tensor& x) { return ops::sum(ops::relu(x)); }, shape, vals);
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::leaky_relu(x, 0.2f)); },
-                   shape, vals);
   expect_gradcheck([](const Tensor& x) { return ops::sum(ops::tanh_op(x)); }, shape,
-                   random_values(10, rng));
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::sigmoid(x)); }, shape,
                    random_values(10, rng));
   expect_gradcheck([](const Tensor& x) { return ops::sum(ops::sqrt_op(x, 1e-6f)); }, shape,
                    random_values(10, rng, 0.5f, 2.0f));

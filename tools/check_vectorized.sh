@@ -16,9 +16,7 @@ set -euo pipefail
 KERNELS=(
   gemm_nn
   gemm_nn_init
-  ew_leaky_relu
   acc_relu_mask
-  acc_leaky_mask
   acc_bn_relu_eval_bw
   segment_max
   bn_affine
