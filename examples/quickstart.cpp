@@ -29,9 +29,9 @@ int main() {
               100.0 * clean.aiou);
 
   // Norm-bounded attack (PGD-style, Algorithm 1 of the paper). The
-  // engine validates the config at construction and assembles the
-  // strategy pipeline: degradation objective + epsilon-clip projection +
-  // sign step + budget stop.
+  // engine validates the config at construction; the config alone picks
+  // the attack: degradation objective, epsilon-clip projection with
+  // sign-PGD, `steps` budget.
   AttackConfig bounded;
   bounded.norm = AttackNorm::kBounded;
   bounded.field = AttackField::kColor;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace pcss::core {
 
@@ -28,29 +30,44 @@ std::vector<std::string> AttackConfig::validate(int num_classes,
   const bool use_color = field != AttackField::kCoordinate;
   const bool use_coord = field != AttackField::kColor;
 
+  // The range checks below are false for NaN and pass some infinities, so
+  // non-finite values are reported here, once per field whatever the norm,
+  // and skipped there.
+  const std::pair<const char*, float> floats[] = {
+      {"epsilon", epsilon},         {"coord_epsilon", coord_epsilon},
+      {"step_size", step_size},     {"adam_lr", adam_lr},
+      {"lambda1", lambda1},         {"lambda2", lambda2},
+      {"min_impact_fraction", min_impact_fraction},
+      {"success_accuracy", success_accuracy},
+      {"success_psr", success_psr}};
+  for (const auto& [name, value] : floats) {
+    if (!std::isfinite(value)) errors.push_back(std::string(name) + " must be finite");
+  }
+  const auto nonpositive = [](float value) { return std::isfinite(value) && value <= 0.0f; };
+
   if (norm == AttackNorm::kBounded) {
     if (steps <= 0) errors.push_back("steps must be positive for the bounded attack");
-    if (step_size <= 0.0f) errors.push_back("step_size must be positive");
-    if (use_color && epsilon <= 0.0f) {
+    if (nonpositive(step_size)) errors.push_back("step_size must be positive");
+    if (use_color && nonpositive(epsilon)) {
       errors.push_back("epsilon must be positive for a bounded color attack");
     }
-    if (use_coord && coord_epsilon <= 0.0f) {
+    if (use_coord && nonpositive(coord_epsilon)) {
       errors.push_back("coord_epsilon must be positive for a bounded coordinate attack");
     }
   } else {
     if (cw_steps <= 0) errors.push_back("cw_steps must be positive for the unbounded attack");
-    if (adam_lr <= 0.0f) errors.push_back("adam_lr must be positive");
+    if (nonpositive(adam_lr)) errors.push_back("adam_lr must be positive");
     if (stall_patience <= 0) errors.push_back("stall_patience must be positive");
     if (smooth_alpha < 0) errors.push_back("smooth_alpha must be non-negative");
   }
 
-  if (min_impact_fraction < 0.0f) {
+  if (std::isfinite(min_impact_fraction) && min_impact_fraction < 0.0f) {
     errors.push_back("min_impact_fraction must be non-negative");
   }
-  if (success_accuracy > 1.0f) {
+  if (std::isfinite(success_accuracy) && success_accuracy > 1.0f) {
     errors.push_back("success_accuracy is a fraction; values above 1 never trigger");
   }
-  if (success_psr > 1.0f) {
+  if (std::isfinite(success_psr) && success_psr > 1.0f) {
     errors.push_back("success_psr is a fraction; values above 1 never trigger");
   }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -88,79 +89,136 @@ struct MinImpactSchedule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Objectives (Eq. 10 / Eq. 11)
-// ---------------------------------------------------------------------------
-
-class DegradationObjective final : public Objective {
- public:
-  explicit DegradationObjective(float success_accuracy)
-      : success_accuracy_(success_accuracy) {}
-
-  const char* name() const override { return "performance-degradation"; }
-
-  Tensor loss(const Tensor& logits, const PointCloud& cloud,
-              const std::vector<std::uint8_t>& mask) const override {
-    return ops::hinge_margin_loss(logits, cloud.labels, mask, /*targeted=*/false);
-  }
-
-  double gain(const std::vector<int>& predictions, const PointCloud& cloud,
-              const std::vector<std::uint8_t>& mask, int num_classes) const override {
-    const SegMetrics m =
-        evaluate_segmentation_masked(predictions, cloud.labels, num_classes, mask);
-    return 1.0 - m.accuracy;
-  }
-
-  bool converged(double gain) const override {
-    return success_accuracy_ >= 0.0f && (1.0 - gain) <= success_accuracy_;
-  }
-
- private:
-  float success_accuracy_;
+/// Differentiable raw-unit perturbations for one optimization step.
+/// Undefined tensors mean "this field is not attacked".
+struct FieldDeltas {
+  Tensor color;  ///< [N,3] additive RGB delta, raw [0,1] units
+  Tensor coord;  ///< [N,3] additive position delta, meters
 };
 
-class HidingObjective final : public Objective {
- public:
-  HidingObjective(int target_class, float success_psr)
-      : target_class_(target_class), success_psr_(success_psr) {}
+// ---------------------------------------------------------------------------
+// Objective (Eq. 10 / Eq. 11)
+// ---------------------------------------------------------------------------
 
-  const char* name() const override { return "object-hiding"; }
+/// What the attacker optimizes: the untargeted degradation hinge (Eq. 4/5,
+/// Eq. 11) or the targeted hiding hinge (Eq. 1/3, Eq. 10), with the scalar
+/// progress measure the loop reports and stops on.
+struct Objective {
+  explicit Objective(const AttackConfig& config)
+      : hiding(config.objective == AttackObjective::kObjectHiding),
+        target_class(config.target_class),
+        threshold(hiding ? config.success_psr : config.success_accuracy) {}
 
   Tensor loss(const Tensor& logits, const PointCloud& cloud,
-              const std::vector<std::uint8_t>& mask) const override {
-    std::vector<int> targets(static_cast<size_t>(cloud.size()), target_class_);
+              const std::vector<std::uint8_t>& mask) const {
+    if (!hiding) {
+      return ops::hinge_margin_loss(logits, cloud.labels, mask, /*targeted=*/false);
+    }
+    std::vector<int> targets(static_cast<size_t>(cloud.size()), target_class);
     return ops::hinge_margin_loss(logits, targets, mask, /*targeted=*/true);
   }
 
-  double gain(const std::vector<int>& predictions, const PointCloud& /*cloud*/,
-              const std::vector<std::uint8_t>& mask, int /*num_classes*/) const override {
-    return point_success_rate(predictions, mask, target_class_);
+  /// Larger is always better for the attacker: PSR for hiding,
+  /// 1 - accuracy for degradation.
+  double gain(const std::vector<int>& predictions, const PointCloud& cloud,
+              const std::vector<std::uint8_t>& mask, int num_classes) const {
+    if (hiding) return point_success_rate(predictions, mask, target_class);
+    return 1.0 -
+           evaluate_segmentation_masked(predictions, cloud.labels, num_classes, mask).accuracy;
   }
 
-  bool converged(double gain) const override {
-    return success_psr_ >= 0.0f && gain >= success_psr_;
+  /// Whether `gain` meets the success threshold (negative: never).
+  bool converged(double gain) const {
+    if (threshold < 0.0f) return false;
+    return hiding ? gain >= threshold : (1.0 - gain) <= threshold;
   }
 
- private:
-  int target_class_;
-  float success_psr_;
+  bool hiding;
+  int target_class;
+  float threshold;  ///< success_psr (hiding) or success_accuracy
 };
 
 // ---------------------------------------------------------------------------
-// Bounded epsilon-clip parameterization (Algorithm 1)
+// Projections: how the perturbation is parameterized, kept feasible and
+// updated. One per norm regime; stateful per run, so every cloud gets its
+// own instance.
 // ---------------------------------------------------------------------------
 
-class ClipProjection final : public Projection {
+class Projection {
  public:
-  explicit ClipProjection(const AttackConfig& config) : config_(config) {}
+  explicit Projection(const AttackConfig& config) : config_(config) {}
+  virtual ~Projection() = default;
 
-  void init(const PointCloud& cloud, const std::vector<std::uint8_t>& mask,
-            Rng& rng) override {
-    cloud_ = &cloud;
+  virtual void init(const PointCloud& cloud, const std::vector<std::uint8_t>& mask,
+                    Rng& rng) = 0;
+
+  /// Builds this eager step's differentiable deltas (kept internally so
+  /// the loss, the gain snapshot and the restoration can reference them).
+  virtual FieldDeltas make_deltas() = 0;
+
+  /// Called before every plan replay, in place of make_deltas.
+  virtual void before_replay() {}
+
+  /// Composes the full step loss from the adversarial term. The bounded
+  /// regime optimizes the hinge alone (constraints live in update());
+  /// the unbounded regime adds the Eq. 3/5 distance and Eq. 9 smoothness.
+  virtual Tensor total_loss(const Tensor& adversarial) { return adversarial; }
+
+  /// Clears the persistent variables' gradients before backward.
+  virtual void zero_grad() {}
+
+  /// Called with each step's measured gain before the stop decision.
+  virtual void observe_gain(double gain) { (void)gain; }
+
+  /// One update from this step's gradients: the step rule, the
+  /// feasibility projection, a due random restart, then the Eq. 12 L0
+  /// restoration.
+  virtual void update(Rng& rng) = 0;
+
+  /// Explicit capture-invalidation epoch: bumped whenever the step graph's
+  /// *shape* changed (an L0 restoration shrank a mask that is baked into
+  /// the graph, for example). The engine drops its plan and re-captures
+  /// when the epoch moves.
+  std::uint64_t plan_epoch() const { return epoch_; }
+
+  /// Final raw-unit deltas to apply to the cloud; null = field untouched.
+  /// Called once after the loop ends; may materialize internal state.
+  virtual const std::vector<float>* final_color_delta() = 0;
+  virtual const std::vector<float>* final_coord_delta() = 0;
+
+ protected:
+  /// Per-cloud setup shared by both regimes: the attacked fields, the
+  /// perturbable set and the Eq. 12 schedules.
+  void init_common(const PointCloud& cloud, const std::vector<std::uint8_t>& mask) {
     mask_ = mask;
     n_ = cloud.size();
     use_color_ = config_.field != AttackField::kCoordinate;
     use_coord_ = config_.field != AttackField::kColor;
+    sparsify_color_ = use_color_ && config_.l0_on_color;
+    if (use_coord_) coord_schedule_.init(mask_, config_.min_impact_fraction);
+    if (sparsify_color_) color_schedule_.init(mask_, config_.min_impact_fraction);
+  }
+
+  const AttackConfig& config_;
+  std::vector<std::uint8_t> mask_;
+  std::int64_t n_ = 0;
+  bool use_color_ = false, use_coord_ = false, sparsify_color_ = false;
+  MinImpactSchedule coord_schedule_, color_schedule_;
+  std::uint64_t epoch_ = 0;  ///< capture-invalidation counter
+};
+
+// ---------------------------------------------------------------------------
+// Bounded epsilon-clip parameterization with sign-PGD (Algorithm 1)
+// ---------------------------------------------------------------------------
+
+class ClipProjection final : public Projection {
+ public:
+  using Projection::Projection;
+
+  void init(const PointCloud& cloud, const std::vector<std::uint8_t>& mask,
+            Rng& rng) override {
+    init_common(cloud, mask);
+    cloud_ = &cloud;
     cdelta_.assign(static_cast<size_t>(n_ * 3), 0.0f);
     pdelta_.assign(static_cast<size_t>(n_ * 3), 0.0f);
 
@@ -180,86 +238,34 @@ class ClipProjection final : public Projection {
       }
     }
     if (use_color_) project_color();
-
-    if (use_coord_) coord_schedule_.init(mask_, config_.min_impact_fraction);
-    sparsify_color_ = use_color_ && config_.l0_on_color;
-    if (sparsify_color_) color_schedule_.init(mask_, config_.min_impact_fraction);
   }
 
   FieldDeltas make_deltas() override {
-    // The leaf tensors persist across steps: values are refreshed from
-    // the raw delta storage and gradients zeroed in place, so the inner
-    // loop re-tensorizes without allocating (backward() released last
-    // step's graph, leaving these leaves untouched).
-    FieldDeltas deltas;
+    refresh_leaves();
+    return {cd_, pd_};
+  }
+
+  /// A replay reads the same persistent leaves the eager step built.
+  void before_replay() override { refresh_leaves(); }
+
+  void update(Rng& /*rng*/) override {
+    // Sign-of-gradient descent; both hinges (Eq. 10 and Eq. 11) are
+    // positive while the attack has not yet succeeded on a point, so
+    // descent is the working direction for both objectives.
     if (use_color_) {
-      refresh_leaf(cd_, cdelta_);
-      deltas.color = cd_;
+      sign_step(cdelta_, cd_, sparsify_color_ ? color_schedule_.allowed : mask_);
     }
-    if (use_coord_) {
-      refresh_leaf(pd_, pdelta_);
-      deltas.coord = pd_;
-    }
-    return deltas;
-  }
+    if (use_coord_) sign_step(pdelta_, pd_, coord_schedule_.allowed);
 
-  std::vector<Tensor> variables() override {
-    // Variables live in raw storage and are re-tensorized every step;
-    // tensor-based step rules (Adam) cannot bind to them.
-    return {};
-  }
-
-  std::vector<VarView> views() override {
-    std::vector<VarView> out;
-    if (use_color_) {
-      const auto& g = cd_.grad();
-      out.push_back({cdelta_.data(), g.empty() ? nullptr : g.data(),
-                     sparsify_color_ ? &color_schedule_.allowed : &mask_, n_});
-    }
-    if (use_coord_) {
-      const auto& g = pd_.grad();
-      out.push_back({pdelta_.data(), g.empty() ? nullptr : g.data(),
-                     &coord_schedule_.allowed, n_});
-    }
-    return out;
-  }
-
-  void project() override {
     if (use_color_) project_color();
     if (use_coord_) {
       for (auto& d : pdelta_) d = std::clamp(d, -config_.coord_epsilon,
                                              config_.coord_epsilon);
     }
+
+    if (sparsify_color_) restore(cdelta_, cd_, color_schedule_);
+    if (use_coord_) restore(pdelta_, pd_, coord_schedule_);
   }
-
-  void post_step() override {
-    if (use_color_ && sparsify_color_ && !cd_.grad().empty()) {
-      const auto removed_pts = color_schedule_.restore_step(cd_.grad(), cdelta_);
-      if (!removed_pts.empty()) ++epoch_;  // explicit capture invalidation
-      for (std::int64_t removed : removed_pts) {
-        for (int a = 0; a < 3; ++a) cdelta_[static_cast<size_t>(removed * 3 + a)] = 0.0f;
-      }
-    }
-    if (use_coord_ && !pd_.grad().empty()) {
-      const auto removed_pts = coord_schedule_.restore_step(pd_.grad(), pdelta_);
-      if (!removed_pts.empty()) ++epoch_;
-      for (std::int64_t removed : removed_pts) {
-        for (int a = 0; a < 3; ++a) pdelta_[static_cast<size_t>(removed * 3 + a)] = 0.0f;
-      }
-    }
-  }
-
-  /// The step graph hangs off the persistent cd_/pd_ leaves whose values
-  /// SignStep mutates in *raw* storage — a replay must re-run make_deltas
-  /// so refresh_leaf copies the raw deltas back into the leaf tensors.
-  PlanCompat plan_compat() const override { return PlanCompat::kRefreshLeaves; }
-
-  /// Bumped on every Eq. 12 restoration. The refresh_leaf path used to
-  /// silently re-zero gradients on such steps as if nothing changed; the
-  /// explicit epoch makes the invalidation observable so the engine's plan
-  /// fallback can key off it instead of replaying through a stale
-  /// perturbable set.
-  std::uint64_t plan_epoch() const override { return epoch_; }
 
   const std::vector<float>* final_color_delta() override {
     return use_color_ ? &cdelta_ : nullptr;
@@ -269,6 +275,15 @@ class ClipProjection final : public Projection {
   }
 
  private:
+  /// The leaf tensors persist across steps: values are refreshed from the
+  /// raw delta storage the sign step mutates, and gradients zeroed in
+  /// place, so the inner loop re-tensorizes without allocating (backward()
+  /// released last step's graph, leaving these leaves untouched).
+  void refresh_leaves() {
+    if (use_color_) refresh_leaf(cd_, cdelta_);
+    if (use_coord_) refresh_leaf(pd_, pdelta_);
+  }
+
   void refresh_leaf(Tensor& leaf, const std::vector<float>& values) const {
     if (!leaf.defined()) {
       leaf = Tensor::from_data({n_, 3}, values);
@@ -277,6 +292,34 @@ class ClipProjection final : public Projection {
     }
     std::copy(values.begin(), values.end(), leaf.data());
     leaf.zero_grad();
+  }
+
+  void sign_step(std::vector<float>& delta, const Tensor& leaf,
+                 const std::vector<std::uint8_t>& active) const {
+    const auto& g = leaf.grad();
+    if (g.empty()) return;
+    for (std::int64_t i = 0; i < n_; ++i) {
+      if (!active[static_cast<size_t>(i)]) continue;
+      for (int a = 0; a < 3; ++a) {
+        const float gv = g[static_cast<size_t>(i * 3 + a)];
+        if (gv != 0.0f) {
+          delta[static_cast<size_t>(i * 3 + a)] -=
+              config_.step_size * (gv > 0.0f ? 1.0f : -1.0f);
+        }
+      }
+    }
+  }
+
+  /// Eq. 12: zero the least impactful points' deltas. Every restoration
+  /// bumps the epoch, the explicit capture invalidation the engine's plan
+  /// fallback keys off instead of replaying through a stale perturbable set.
+  void restore(std::vector<float>& delta, const Tensor& leaf, MinImpactSchedule& schedule) {
+    if (leaf.grad().empty()) return;
+    const auto removed_pts = schedule.restore_step(leaf.grad(), delta);
+    if (!removed_pts.empty()) ++epoch_;
+    for (std::int64_t removed : removed_pts) {
+      for (int a = 0; a < 3; ++a) delta[static_cast<size_t>(removed * 3 + a)] = 0.0f;
+    }
   }
 
   void project_color() {
@@ -290,32 +333,23 @@ class ClipProjection final : public Projection {
     }
   }
 
-  AttackConfig config_;
   const PointCloud* cloud_ = nullptr;
-  std::vector<std::uint8_t> mask_;
-  std::int64_t n_ = 0;
-  bool use_color_ = false, use_coord_ = false, sparsify_color_ = false;
   std::vector<float> cdelta_, pdelta_;
   Tensor cd_, pd_;  ///< this step's leaf tensors (gradients land here)
-  MinImpactSchedule coord_schedule_, color_schedule_;
-  std::uint64_t epoch_ = 0;  ///< capture-invalidation counter (restorations)
 };
 
 // ---------------------------------------------------------------------------
-// CW tanh reparameterization (Eq. 7) with Eq. 3/5 penalties
+// CW tanh reparameterization (Eq. 7) with Eq. 3/5 penalties, Adam and the
+// stall-triggered random restart (§IV-B)
 // ---------------------------------------------------------------------------
 
 class TanhProjection final : public Projection {
  public:
-  explicit TanhProjection(const AttackConfig& config) : config_(config) {}
+  using Projection::Projection;
 
   void init(const PointCloud& cloud, const std::vector<std::uint8_t>& mask,
             Rng& rng) override {
-    cloud_ = &cloud;
-    mask_ = mask;
-    n_ = cloud.size();
-    use_color_ = config_.field != AttackField::kCoordinate;
-    use_coord_ = config_.field != AttackField::kColor;
+    init_common(cloud, mask);
 
     // Color maps to [0,1]; coordinates map into the cloud's bounding box.
     const auto box = pcss::pointcloud::compute_bbox(cloud.positions);
@@ -346,6 +380,10 @@ class TanhProjection final : public Projection {
     }
     w_color_.set_requires_grad(use_color_);
     w_coord_.set_requires_grad(use_coord_);
+    std::vector<Tensor> vars;
+    if (use_color_) vars.push_back(w_color_);
+    if (use_coord_) vars.push_back(w_coord_);
+    adam_.emplace(std::move(vars), config_.adam_lr);
 
     // Constant tensors reused every step.
     std::vector<float> color0(static_cast<size_t>(n_ * 3)),
@@ -375,12 +413,13 @@ class TanhProjection final : public Projection {
       smooth_idx_ = pcss::pointcloud::knn_self(cloud.positions, alpha_,
                                                /*include_self=*/false);
     }
-
-    if (use_coord_) coord_schedule_.init(mask_, config_.min_impact_fraction);
-    sparsify_color_ = use_color_ && config_.l0_on_color;
-    if (sparsify_color_) color_schedule_.init(mask_, config_.min_impact_fraction);
   }
 
+  /// The whole tanh mapping + penalty graph is captured, so a replay needs
+  /// no before_replay work: the optimization variables (w_color_/w_coord_)
+  /// are persistent leaves Adam updates in place, and cdelta_t_/pdelta_t_
+  /// keep pointing at the captured mapped nodes so observe_gain reads
+  /// replay-fresh values.
   FieldDeltas make_deltas() override {
     FieldDeltas deltas;
     if (use_color_) {
@@ -400,26 +439,6 @@ class TanhProjection final : public Projection {
       deltas.coord = pdelta_t_;
     }
     return deltas;
-  }
-
-  std::vector<Tensor> variables() override {
-    std::vector<Tensor> vars;
-    if (use_color_) vars.push_back(w_color_);
-    if (use_coord_) vars.push_back(w_coord_);
-    return vars;
-  }
-
-  std::vector<VarView> views() override {
-    std::vector<VarView> out;
-    if (use_color_) {
-      const auto& g = w_color_.grad();
-      out.push_back({w_color_.data(), g.empty() ? nullptr : g.data(), &mask_, n_});
-    }
-    if (use_coord_) {
-      const auto& g = w_coord_.grad();
-      out.push_back({w_coord_.data(), g.empty() ? nullptr : g.data(), &mask_, n_});
-    }
-    return out;
   }
 
   /// Loss of Eq. 3 (hiding) / Eq. 5 (degradation):
@@ -448,21 +467,47 @@ class TanhProjection final : public Projection {
     return loss;
   }
 
+  void zero_grad() override { adam_->zero_grad(); }
+
+  /// Snapshots the best-so-far deltas and counts the steps since the gain
+  /// last improved. Restarts never reset the best gain.
   void observe_gain(double gain) override {
     if (gain > best_gain_ + 1e-9) {
       best_gain_ = gain;
+      stall_ = 0;
       if (use_color_) {
         best_cdelta_.assign(cdelta_t_.data(), cdelta_t_.data() + n_ * 3);
       }
       if (use_coord_) {
         best_pdelta_.assign(pdelta_t_.data(), pdelta_t_.data() + n_ * 3);
       }
+    } else {
+      ++stall_;
     }
   }
 
+  void update(Rng& rng) override {
+    adam_->step();
+    if (stall_ >= config_.stall_patience) {
+      stall_ = 0;
+      random_restart(rng);
+    }
+    restore();
+  }
+
+  const std::vector<float>* final_color_delta() override {
+    materialize();
+    return use_color_ ? &best_cdelta_ : nullptr;
+  }
+  const std::vector<float>* final_coord_delta() override {
+    materialize();
+    return use_coord_ ? &best_pdelta_ : nullptr;
+  }
+
+ private:
   /// Random restart when the gain stalls (paper §IV-B): add uniform
   /// noise to the optimization variable on the attacked points.
-  void random_restart(Rng& rng) override {
+  void random_restart(Rng& rng) {
     for (std::int64_t i = 0; i < n_; ++i) {
       if (!mask_[static_cast<size_t>(i)]) continue;
       for (int a = 0; a < 3; ++a) {
@@ -474,7 +519,7 @@ class TanhProjection final : public Projection {
 
   /// Eq. 12 restoration: reset the restored points' variables to their
   /// zero-perturbation value.
-  void post_step() override {
+  void restore() {
     if (use_coord_ && !w_coord_.grad().empty()) {
       std::vector<float> pdata(pdelta_t_.data(), pdelta_t_.data() + n_ * 3);
       const auto removed_pts = coord_schedule_.restore_step(w_coord_.grad(), pdata);
@@ -506,23 +551,6 @@ class TanhProjection final : public Projection {
     }
   }
 
-  /// The whole tanh mapping + penalty graph replays: the optimization
-  /// variables (w_color_/w_coord_) are persistent leaves Adam updates in
-  /// place, and cdelta_t_/pdelta_t_ keep pointing at the captured mapped
-  /// nodes so observe_gain reads replay-fresh values.
-  PlanCompat plan_compat() const override { return PlanCompat::kCapturedGraph; }
-  std::uint64_t plan_epoch() const override { return epoch_; }
-
-  const std::vector<float>* final_color_delta() override {
-    materialize();
-    return use_color_ ? &best_cdelta_ : nullptr;
-  }
-  const std::vector<float>* final_coord_delta() override {
-    materialize();
-    return use_coord_ ? &best_pdelta_ : nullptr;
-  }
-
- private:
   void materialize() {
     if (best_gain_ < 0.0) {  // no step ran; fall back to zero perturbation
       best_cdelta_.assign(static_cast<size_t>(n_ * 3), 0.0f);
@@ -541,120 +569,19 @@ class TanhProjection final : public Projection {
     return Tensor::from_data({n_, 3}, std::move(md));
   }
 
-  AttackConfig config_;
-  const PointCloud* cloud_ = nullptr;
-  std::vector<std::uint8_t> mask_;
-  std::int64_t n_ = 0;
-  bool use_color_ = false, use_coord_ = false, sparsify_color_ = false;
   int alpha_ = 0;
   std::vector<float> w_color0_, w_coord0_;
   Tensor w_color_, w_coord_;
+  std::optional<pcss::tensor::optim::Adam> adam_;  ///< over the attacked w_* only
   Tensor color0_t_, coord0_t_, coord_scale_t_, coord_offset_t_;
   std::vector<std::int64_t> smooth_idx_;
   Tensor cdelta_t_, pdelta_t_;  ///< this step's mapped deltas
   /// Cached constant mask tensors; invalidated when a restoration step
   /// shrinks the corresponding schedule.
   Tensor color_mask_t_, coord_mask_t_;
-  MinImpactSchedule coord_schedule_, color_schedule_;
-  std::uint64_t epoch_ = 0;  ///< capture-invalidation counter (mask resets)
   double best_gain_ = -1.0;
+  int stall_ = 0;  ///< steps since best_gain_ last improved
   std::vector<float> best_cdelta_, best_pdelta_;
-};
-
-// ---------------------------------------------------------------------------
-// Step rules
-// ---------------------------------------------------------------------------
-
-class SignStep final : public StepRule {
- public:
-  explicit SignStep(float step_size) : step_size_(step_size) {}
-
-  void apply(Projection& projection) override {
-    // Sign-of-gradient descent; both hinges (Eq. 10 and Eq. 11) are
-    // positive while the attack has not yet succeeded on a point, so
-    // descent is the working direction for both objectives.
-    for (const auto& view : projection.views()) {
-      if (view.grad == nullptr) continue;
-      for (std::int64_t i = 0; i < view.points; ++i) {
-        if (!(*view.active)[static_cast<size_t>(i)]) continue;
-        for (int a = 0; a < 3; ++a) {
-          const float gv = view.grad[i * 3 + a];
-          if (gv != 0.0f) {
-            view.value[i * 3 + a] -= step_size_ * (gv > 0.0f ? 1.0f : -1.0f);
-          }
-        }
-      }
-    }
-  }
-
- private:
-  float step_size_;
-};
-
-class AdamStep final : public StepRule {
- public:
-  explicit AdamStep(float lr) : lr_(lr) {}
-
-  void zero_grad(Projection& projection) override {
-    ensure(projection);
-    opt_->zero_grad();
-  }
-
-  void apply(Projection& projection) override {
-    ensure(projection);
-    opt_->step();
-  }
-
- private:
-  void ensure(Projection& projection) {
-    if (!opt_) {
-      auto vars = projection.variables();
-      if (vars.empty()) {
-        throw std::logic_error(
-            "AdamStep: projection exposes no persistent variables; "
-            "use a sign step or a tanh-style projection");
-      }
-      opt_ = std::make_unique<pcss::tensor::optim::Adam>(std::move(vars), lr_);
-    }
-  }
-
-  float lr_;
-  std::unique_ptr<pcss::tensor::optim::Adam> opt_;
-};
-
-// ---------------------------------------------------------------------------
-// Stop criterion
-// ---------------------------------------------------------------------------
-
-class StandardStop final : public StopCriterion {
- public:
-  StandardStop(int max_steps, int stall_patience)
-      : max_steps_(max_steps), stall_patience_(stall_patience) {}
-
-  int max_steps() const override { return max_steps_; }
-
-  StepAction on_gain(int /*step*/, double gain, bool converged) override {
-    if (stall_patience_ > 0) {
-      if (gain > best_gain_ + 1e-9) {
-        best_gain_ = gain;
-        stall_ = 0;
-      } else {
-        ++stall_;
-      }
-    }
-    if (converged) return StepAction::kStop;
-    if (stall_patience_ > 0 && stall_ >= stall_patience_) {
-      stall_ = 0;
-      return StepAction::kRestart;
-    }
-    return StepAction::kContinue;
-  }
-
- private:
-  int max_steps_;
-  int stall_patience_;
-  double best_gain_ = -1.0;
-  int stall_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -801,78 +728,13 @@ std::string join_errors(const std::vector<std::string>& errors) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Built-in strategy factories
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<Objective> make_degradation_objective(float success_accuracy) {
-  return std::make_unique<DegradationObjective>(success_accuracy);
-}
-std::unique_ptr<Objective> make_hiding_objective(int target_class, float success_psr) {
-  return std::make_unique<HidingObjective>(target_class, success_psr);
-}
-std::unique_ptr<Projection> make_clip_projection(const AttackConfig& config) {
-  return std::make_unique<ClipProjection>(config);
-}
-std::unique_ptr<Projection> make_tanh_projection(const AttackConfig& config) {
-  return std::make_unique<TanhProjection>(config);
-}
-std::unique_ptr<StepRule> make_sign_step(float step_size) {
-  return std::make_unique<SignStep>(step_size);
-}
-std::unique_ptr<StepRule> make_adam_step(float lr) {
-  return std::make_unique<AdamStep>(lr);
-}
-std::unique_ptr<StopCriterion> make_standard_stop(int max_steps, int stall_patience) {
-  return std::make_unique<StandardStop>(max_steps, stall_patience);
-}
-
-AttackRecipe AttackRecipe::from_config(const AttackConfig& config) {
-  AttackRecipe recipe;
-  recipe.make_objective = [config]() -> std::unique_ptr<Objective> {
-    if (config.objective == AttackObjective::kObjectHiding) {
-      return make_hiding_objective(config.target_class, config.success_psr);
-    }
-    return make_degradation_objective(config.success_accuracy);
-  };
-  recipe.make_projection = [config]() -> std::unique_ptr<Projection> {
-    return config.norm == AttackNorm::kBounded ? make_clip_projection(config)
-                                               : make_tanh_projection(config);
-  };
-  recipe.make_step_rule = [config]() -> std::unique_ptr<StepRule> {
-    return config.norm == AttackNorm::kBounded ? make_sign_step(config.step_size)
-                                               : make_adam_step(config.adam_lr);
-  };
-  recipe.make_stop = [config]() -> std::unique_ptr<StopCriterion> {
-    // The bounded attack never restarts (Algorithm 1); the unbounded
-    // CW loop uses the paper's stall-triggered restart.
-    return config.norm == AttackNorm::kBounded
-               ? make_standard_stop(config.steps, /*stall_patience=*/0)
-               : make_standard_stop(config.cw_steps, config.stall_patience);
-  };
-  return recipe;
-}
-
-// ---------------------------------------------------------------------------
 // AttackEngine
 // ---------------------------------------------------------------------------
 
 AttackEngine::AttackEngine(SegmentationModel& model, AttackConfig config)
-    : AttackEngine(model, std::move(config), AttackRecipe{}) {}
-
-AttackEngine::AttackEngine(SegmentationModel& model, AttackConfig config,
-                           AttackRecipe recipe)
-    : model_(model), config_(std::move(config)), recipe_(std::move(recipe)) {
+    : model_(model), config_(std::move(config)) {
   const auto errors = config_.validate(model_.num_classes());
   if (!errors.empty()) throw std::invalid_argument(join_errors(errors));
-  // Fill unset slots with the paper's default composition, so callers can
-  // override a single strategy without restating the rest.
-  AttackRecipe defaults = AttackRecipe::from_config(config_);
-  if (!recipe_.make_objective) recipe_.make_objective = std::move(defaults.make_objective);
-  if (!recipe_.make_projection) {
-    recipe_.make_projection = std::move(defaults.make_projection);
-  }
-  if (!recipe_.make_step_rule) recipe_.make_step_rule = std::move(defaults.make_step_rule);
-  if (!recipe_.make_stop) recipe_.make_stop = std::move(defaults.make_stop);
 }
 
 int AttackEngine::worker_count(std::size_t jobs, int threads) const {
@@ -943,10 +805,16 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
   obs::trace::ScopedSpan cloud_span(kCloudSpan);
 
   Rng rng(seed);
-  auto objective = recipe_.make_objective();
-  auto projection = recipe_.make_projection();
-  auto step_rule = recipe_.make_step_rule();
-  auto stop = recipe_.make_stop();
+  const Objective objective(config_);
+  // The bounded regime never restarts (Algorithm 1); the unbounded CW loop
+  // restarts on a stalled gain inside its projection.
+  const bool bounded = config_.norm == AttackNorm::kBounded;
+  std::unique_ptr<Projection> projection;
+  if (bounded) {
+    projection = std::make_unique<ClipProjection>(config_);
+  } else {
+    projection = std::make_unique<TanhProjection>(config_);
+  }
   projection->init(cloud, mask, rng);
 
   // Capture-once / replay-many: the first eager step is recorded into a
@@ -955,16 +823,14 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
   // order). Restricted to color-field attacks: coordinate deltas change
   // the host-side neighbor graphs every step, so there is no fixed graph
   // to capture, and skipping that rebuild is exactly what replay buys.
-  const PlanCompat plan_compat = projection->plan_compat();
-  bool plan_enabled = policy.plan && config_.field == AttackField::kColor &&
-                      model_.plan_safe_forward() &&
-                      plan_compat != PlanCompat::kIncompatible;
+  bool plan_enabled =
+      policy.plan && config_.field == AttackField::kColor && model_.plan_safe_forward();
   tplan::CompiledPlan plan;
   Tensor plan_logits;  // keeps the captured graph's output node alive
   std::uint64_t plan_epoch = 0;
 
   int step = 0;
-  const int budget = stop->max_steps();
+  const int budget = bounded ? config_.steps : config_.cw_steps;
   for (; step < budget; ++step) {
     obs::trace::ScopedSpan step_span(kStepSpan);
     step_span.arg(kStepArg, step);
@@ -990,11 +856,7 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
     Tensor logits;
     if (replay) {
       plan_replays.add(1);
-      if (plan_compat == PlanCompat::kRefreshLeaves) {
-        // Values live in raw projection storage; copy them back into the
-        // captured leaf tensors (and zero their grads) before replaying.
-        (void)projection->make_deltas();
-      }
+      projection->before_replay();
       obs::trace::ScopedSpan span(kForwardSpan);
       plan.replay_forward();
     } else {
@@ -1003,19 +865,17 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
       logits = model_.forward({&cloud, deltas.color, deltas.coord}, /*training=*/false);
     }
     const std::vector<int> pred = ops::argmax_rows(replay ? plan_logits : logits);
-    const double gain = objective->gain(pred, cloud, mask, model_.num_classes());
+    const double gain = objective.gain(pred, cloud, mask, model_.num_classes());
     projection->observe_gain(gain);
     emit(policy, {cloud_index, step, gain});
-
-    const StepAction action = stop->on_gain(step, gain, objective->converged(gain));
-    if (action == StepAction::kStop) break;  // builder dtor aborts the capture
+    if (objective.converged(gain)) break;  // builder dtor aborts the capture
 
     Tensor loss;
     if (!replay) {
       obs::trace::ScopedSpan span(kObjectiveSpan);
-      loss = projection->total_loss(objective->loss(logits, cloud, mask));
+      loss = projection->total_loss(objective.loss(logits, cloud, mask));
     }
-    step_rule->zero_grad(*projection);
+    projection->zero_grad();
     {
       obs::trace::ScopedSpan span(kBackwardSpan);
       if (replay) {
@@ -1038,10 +898,7 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
     }
     {
       obs::trace::ScopedSpan span(kProjectionSpan);
-      step_rule->apply(*projection);
-      projection->project();
-      if (action == StepAction::kRestart) projection->random_restart(rng);
-      projection->post_step();
+      projection->update(rng);
     }
   }
 

@@ -16,7 +16,7 @@ using pcss::models::SegmentationModel;
 using pcss::tensor::Rng;
 
 // ---------------------------------------------------------------------------
-// Defense pipeline (paper §V-F, symmetric to the AttackEngine strategies)
+// Defense pipeline (paper §V-F)
 //
 // A defense is a chain of DefenseStage transforms applied to the input
 // cloud before segmentation, plus optional post-prediction smoothing.

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -43,14 +45,27 @@ std::string serialize(const LeaseInfo& info) {
   return j.dump() + "\n";
 }
 
+/// A JSON number that is an integer in [0, max], exactly; nullopt for
+/// fractions, NaN and anything a cast would truncate or overflow.
+std::optional<std::int64_t> whole_number(double value, double max) {
+  if (!(value >= 0.0 && value <= max) || std::trunc(value) != value) return std::nullopt;
+  return static_cast<std::int64_t>(value);
+}
+
 std::optional<LeaseInfo> parse_lease(const std::string& text) {
   try {
     const Json j = Json::parse(text);
     LeaseInfo info;
     info.owner = j.at("owner").str();
-    info.pid = static_cast<long long>(j.at("pid").number());
+    // Generations are written as doubles, exact up to 2^53.
+    const auto pid = whole_number(j.at("pid").number(), std::numeric_limits<pid_t>::max());
+    const auto generation = whole_number(j.at("generation").number(), 0x1p53);
     info.heartbeat_ns = std::stoll(j.at("heartbeat_ns").str());
-    info.generation = static_cast<std::int64_t>(j.at("generation").number());
+    // A negative heartbeat is not a monotonic timestamp, and stale()'s
+    // `now - heartbeat` would overflow on one.
+    if (!pid || !generation || info.heartbeat_ns < 0) return std::nullopt;
+    info.pid = *pid;
+    info.generation = *generation;
     return info;
   } catch (const std::exception&) {
     return std::nullopt;  // torn or foreign bytes: the caller treats it as stale

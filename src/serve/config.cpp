@@ -1,7 +1,9 @@
 #include "pcss/serve/config.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -18,11 +20,24 @@ std::string trim(const std::string& s) {
 
 long long parse_int(const std::string& where, const std::string& value) {
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
   if (end == value.c_str() || *end != '\0') {
     throw std::runtime_error(where + ": expected an integer, got '" + value + "'");
   }
+  if (errno == ERANGE) {
+    throw std::runtime_error(where + ": integer out of range: '" + value + "'");
+  }
   return parsed;
+}
+
+/// For the `int` keys: a wider value is an error, never truncated.
+int parse_int32(const std::string& where, const std::string& value) {
+  const long long parsed = parse_int(where, value);
+  if (parsed < std::numeric_limits<int>::min() || parsed > std::numeric_limits<int>::max()) {
+    throw std::runtime_error(where + ": integer out of range: '" + value + "'");
+  }
+  return static_cast<int>(parsed);
 }
 
 }  // namespace
@@ -47,15 +62,15 @@ ServeConfig parse_config_file(const std::string& path) {
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
     if (key == "port") {
-      config.port = static_cast<int>(parse_int(where, value));
+      config.port = parse_int32(where, value);
     } else if (key == "socket") {
       config.socket_path = value;
     } else if (key == "workers") {
-      config.workers = static_cast<int>(parse_int(where, value));
+      config.workers = parse_int32(where, value);
     } else if (key == "queue_depth") {
-      config.queue_depth = static_cast<int>(parse_int(where, value));
+      config.queue_depth = parse_int32(where, value);
     } else if (key == "max_inflight_per_client") {
-      config.max_inflight_per_client = static_cast<int>(parse_int(where, value));
+      config.max_inflight_per_client = parse_int32(where, value);
     } else if (key == "idle_timeout_ms") {
       config.idle_timeout_ms = parse_int(where, value);
     } else if (key == "read_timeout_ms") {

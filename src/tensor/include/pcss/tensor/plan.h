@@ -43,7 +43,8 @@ namespace pcss::tensor::plan {
 // deliberately have none, so finish() fails and the caller stays eager.
 // Graphs whose *shape* changes between steps (host-side kNN over perturbed
 // positions, L0 masks shrinking) must not be replayed either — callers key
-// re-capture off an explicit invalidation epoch (Projection::plan_epoch).
+// re-capture off an explicit invalidation epoch (the attack projection's
+// plan_epoch() in attack_engine.cpp).
 // ---------------------------------------------------------------------------
 
 /// Size/shape summary of a captured plan, for tooling (pcss_run stats).

@@ -1,12 +1,12 @@
-// AttackEngine contract tests: strategy-composition equivalence with the
-// default recipe across all 8 paper configurations, batched
-// determinism under different thread counts, config validation, the
-// shared-delta mode, and observer/recipe pluggability.
+// AttackEngine contract tests: plan replay vs eager vs batched runs and
+// the step budget across all 8 paper configurations, the stall-triggered
+// restart, batched determinism under different thread counts, config
+// validation, the shared-delta mode, and the progress observer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -94,8 +94,8 @@ class EngineEquivalence
       public ::testing::WithParamInterface<
           std::tuple<AttackObjective, AttackNorm, AttackField>> {};
 
-TEST_P(EngineEquivalence, ComposedRecipeMatchesDefaultRecipeBitExactly) {
-  const auto [objective, norm, field] = GetParam();
+AttackConfig equivalence_config(AttackObjective objective, AttackNorm norm, AttackField field,
+                                 const PointCloud& cloud) {
   AttackConfig config;
   config.objective = objective;
   config.norm = norm;
@@ -104,38 +104,32 @@ TEST_P(EngineEquivalence, ComposedRecipeMatchesDefaultRecipeBitExactly) {
   config.cw_steps = 6;
   if (objective == AttackObjective::kObjectHiding) {
     config.target_class = static_cast<int>(IndoorClass::kWall);
-    config.target_mask =
-        mask_for_class(cloud_->labels, static_cast<int>(IndoorClass::kWindow));
+    config.target_mask = mask_for_class(cloud.labels, static_cast<int>(IndoorClass::kWindow));
   }
+  return config;
+}
 
-  // The config-derived default recipe...
-  const AttackResult by_default = AttackEngine(*model_, config).run(*cloud_);
-  // ...versus an engine whose recipe is assembled strategy-by-strategy
-  // from the public factories rather than derived from the config.
-  AttackRecipe recipe;
-  recipe.make_objective = [&config]() -> std::unique_ptr<Objective> {
-    if (config.objective == AttackObjective::kObjectHiding) {
-      return make_hiding_objective(config.target_class, config.success_psr);
-    }
-    return make_degradation_objective(config.success_accuracy);
-  };
-  recipe.make_projection = [&config]() -> std::unique_ptr<Projection> {
-    return config.norm == AttackNorm::kBounded ? make_clip_projection(config)
-                                               : make_tanh_projection(config);
-  };
-  recipe.make_step_rule = [&config]() -> std::unique_ptr<StepRule> {
-    return config.norm == AttackNorm::kBounded ? make_sign_step(config.step_size)
-                                               : make_adam_step(config.adam_lr);
-  };
-  recipe.make_stop = [&config]() -> std::unique_ptr<StopCriterion> {
-    return config.norm == AttackNorm::kBounded
-               ? make_standard_stop(config.steps, 0)
-               : make_standard_stop(config.cw_steps, config.stall_patience);
-  };
-  const AttackEngine engine(*model_, config, std::move(recipe));
-  const AttackResult composed = engine.run(*cloud_);
+TEST_P(EngineEquivalence, PlanReplayMatchesEagerAndBatchBitExactly) {
+  const auto [objective, norm, field] = GetParam();
+  const AttackEngine engine(*model_, equivalence_config(objective, norm, field, *cloud_));
 
-  expect_bit_identical(by_default, composed);
+  const auto& replays = pcss::obs::metrics::counter("plan.replays");
+  const std::uint64_t replays0 = replays.value();
+  const AttackResult planned = engine.run(*cloud_);
+  // Only color-field attacks replay; coordinate attacks stay eager.
+  if (field == AttackField::kColor) {
+    EXPECT_GT(replays.value(), replays0) << "the plan-on run must replay";
+  }
+  expect_bit_identical(planned, engine.run(*cloud_, {.plan = false}));
+  const std::vector<PointCloud> one{*cloud_};
+  expect_bit_identical(planned, engine.run_batch(one).front());
+}
+
+TEST_P(EngineEquivalence, RunsTheWholeBudgetWithoutSuccessThreshold) {
+  const auto [objective, norm, field] = GetParam();
+  const AttackConfig config = equivalence_config(objective, norm, field, *cloud_);
+  const AttackResult result = AttackEngine(*model_, config).run(*cloud_);
+  EXPECT_EQ(result.steps_used, norm == AttackNorm::kBounded ? config.steps : config.cw_steps);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -194,6 +188,24 @@ TEST_F(EngineFixture, RunBatchUnboundedDeterministicAcrossThreadCounts) {
   }
 }
 
+TEST_F(EngineFixture, StalledUnboundedRunRandomRestarts) {
+  // Patience 1 restarts after every step whose gain does not improve;
+  // patience cw_steps + 1 can never fire. Any restart re-noises the
+  // variables from the RNG, so the two runs must part ways.
+  AttackConfig config;
+  config.norm = AttackNorm::kUnbounded;
+  config.cw_steps = 12;
+  config.stall_patience = 1;
+  std::vector<double> restarting_gains, steady_gains;
+  const AttackResult restarting = AttackEngine(*model_, config).run(
+      *cloud_, {.observer = [&](const AttackProgress& p) { restarting_gains.push_back(p.gain); }});
+  config.stall_patience = config.cw_steps + 1;
+  const AttackResult steady = AttackEngine(*model_, config).run(
+      *cloud_, {.observer = [&](const AttackProgress& p) { steady_gains.push_back(p.gain); }});
+  EXPECT_NE(restarting_gains, steady_gains);
+  EXPECT_NE(restarting.perturbed.colors, steady.perturbed.colors);
+}
+
 // ---------------------------------------------------------------------------
 // Config validation.
 // ---------------------------------------------------------------------------
@@ -209,6 +221,28 @@ TEST(AttackConfigValidate, CollectsEveryProblemAtOnce) {
   // target_mask left empty: a fifth problem.
   const auto errors = config.validate(/*num_classes=*/13);
   EXPECT_EQ(errors.size(), 5u) << ::testing::PrintToString(errors);
+}
+
+TEST(AttackConfigValidate, ReportsEveryNonFiniteFloatOnce) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const AttackNorm norm : {AttackNorm::kBounded, AttackNorm::kUnbounded}) {
+    AttackConfig config;
+    config.norm = norm;
+    config.field = AttackField::kBoth;
+    config.epsilon = nan;
+    config.coord_epsilon = -inf;
+    config.step_size = inf;
+    config.adam_lr = nan;
+    config.lambda1 = inf;
+    config.lambda2 = nan;
+    config.min_impact_fraction = -inf;
+    config.success_accuracy = inf;
+    config.success_psr = nan;
+    const auto errors = config.validate(13);
+    EXPECT_EQ(errors.size(), 9u) << ::testing::PrintToString(errors);
+    for (const auto& e : errors) EXPECT_NE(e.find("must be finite"), std::string::npos) << e;
+  }
 }
 
 TEST(AttackConfigValidate, AcceptsTheDefaults) {
@@ -277,7 +311,7 @@ TEST_F(EngineFixture, RunSharedRejectsMisalignedClouds) {
 }
 
 // ---------------------------------------------------------------------------
-// Observability and recipe pluggability.
+// Observability and parameter-flag hygiene.
 // ---------------------------------------------------------------------------
 
 TEST_F(EngineFixture, ObserverSeesEveryStep) {
@@ -307,37 +341,6 @@ TEST_F(EngineFixture, ObserverSeesEveryStep) {
     const std::uint64_t want = plan ? static_cast<std::uint64_t>(result.steps_used - 1) : 0;
     EXPECT_EQ(replays.value() - replays0, want);
   }
-}
-
-TEST_F(EngineFixture, CustomStopCriterionOverridesBudget) {
-  // A 2-step cap plugged in over a 50-step config: composability means
-  // the engine honors the strategy, not the config field.
-  class TwoSteps final : public StopCriterion {
-   public:
-    int max_steps() const override { return 2; }
-    StepAction on_gain(int, double, bool) override { return StepAction::kContinue; }
-  };
-  AttackConfig config;
-  config.norm = AttackNorm::kBounded;
-  config.steps = 50;
-  AttackRecipe recipe;
-  recipe.make_stop = [] { return std::make_unique<TwoSteps>(); };
-  const AttackEngine engine(*model_, config, std::move(recipe));
-  EXPECT_EQ(engine.run(*cloud_).steps_used, 2);
-}
-
-TEST_F(EngineFixture, PartialRecipeFallsBackToConfigDefaults) {
-  AttackConfig config;
-  config.norm = AttackNorm::kBounded;
-  config.steps = 3;
-  // Only the stop criterion is overridden; objective/projection/step
-  // rule come from the config-derived defaults.
-  AttackRecipe recipe;
-  recipe.make_stop = [&config] { return make_standard_stop(config.steps, 0); };
-  const AttackEngine engine(*model_, config, std::move(recipe));
-  const AttackResult via_recipe = engine.run(*cloud_);
-  const AttackResult via_default = AttackEngine(*model_, config).run(*cloud_);
-  expect_bit_identical(via_recipe, via_default);
 }
 
 TEST_F(EngineFixture, ModelParamGradsRestoredAfterRun) {

@@ -363,6 +363,23 @@ TEST_F(ServeTest, ConfigFileParsesOverridesAndRejectsJunk) {
   }
   EXPECT_THROW(pcss::serve::parse_config_file(conf), std::runtime_error);
 
+  // Integers are neither truncated to int (4294967376 is not port 80,
+  // 4294967297 not 1 worker) nor saturated past long long.
+  for (const char* line : {"port = 4294967376\n", "workers = 4294967297\n",
+                           "idle_timeout_ms = 99999999999999999999\n"}) {
+    {
+      std::ofstream out(conf);
+      out << "socket = /tmp/pcss.sock\n" << line;
+    }
+    try {
+      pcss::serve::parse_config_file(conf);
+      FAIL() << "out-of-range integer must throw: " << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(conf + ":2"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
+
   // validate() rejects nonsense ranges.
   pcss::serve::ServeConfig bad;
   bad.socket_path = "/tmp/pcss.sock";

@@ -190,6 +190,31 @@ TEST_F(WorkerLeaseTest, DeadHolderIsStolenImmediatelyDespiteLongTtl) {
   EXPECT_EQ(thief.peek("s0.lease")->owner, "thief");
 }
 
+TEST_F(WorkerLeaseTest, OutOfRangeRecordsReadAsTornAndAreSwept) {
+  // Each record is well-formed JSON whose numbers a cast would truncate
+  // or overflow (or whose heartbeat would overflow the staleness age).
+  const std::string pid = std::to_string(::getpid());
+  const std::vector<std::pair<std::string, std::string>> records = {
+      {"huge-pid.lease",
+       R"({"owner": "x", "pid": 1e300, "heartbeat_ns": "1", "generation": 1})"},
+      {"fraction-pid.lease",
+       R"({"owner": "x", "pid": 1.5, "heartbeat_ns": "1", "generation": 1})"},
+      {"huge-generation.lease",
+       R"({"owner": "x", "pid": )" + pid + R"(, "heartbeat_ns": "1", "generation": 1e300})"},
+      {"min-heartbeat.lease", R"({"owner": "x", "pid": )" + pid +
+                                  R"(, "heartbeat_ns": "-9223372036854775808", "generation": 1})"},
+  };
+  fs::create_directories(root_);
+  for (const auto& [name, record] : records) std::ofstream(root_ + "/" + name) << record;
+
+  LeaseManager manager(root_, "worker-a", kLongTtl);
+  for (const auto& [name, record] : records) {
+    EXPECT_FALSE(manager.peek(name).has_value()) << name;
+  }
+  EXPECT_EQ(manager.sweep(), static_cast<int>(records.size()));
+  for (const auto& [name, record] : records) EXPECT_FALSE(fs::exists(root_ + "/" + name)) << name;
+}
+
 TEST(WorkerChaos, KillSequenceIsDeterministicPerSeedAndSalt) {
   const auto draws = [](double prob, std::uint64_t seed, const std::string& salt) {
     ChaosMonkey monkey(prob, seed, salt);
