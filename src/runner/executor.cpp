@@ -124,7 +124,7 @@ CaseRow row_from_json(const Json& j) {
   CaseRow row;
   row.record = record_from_json(j);
   row.l2_color = j.at("l2_color").number();
-  row.steps = static_cast<long long>(j.at("steps").number());
+  row.steps = j.at("steps").integer<long long>();
   return row;
 }
 
@@ -150,7 +150,7 @@ Json steps_to_json(const std::vector<long long>& steps) {
 std::vector<long long> steps_from_json(const Json& arr) {
   std::vector<long long> out;
   out.reserve(arr.size());
-  for (const Json& s : arr.items()) out.push_back(static_cast<long long>(s.number()));
+  for (const Json& s : arr.items()) out.push_back(s.integer<long long>());
   return out;
 }
 
@@ -165,7 +165,7 @@ Json grid_row_to_json(const GridCaseRow& row) {
 
 GridCaseRow grid_row_from_json(const Json& j) {
   return {j.at("accuracy").number(), j.at("aiou").number(),
-          static_cast<long long>(j.at("points_kept").number())};
+          j.at("points_kept").integer<long long>()};
 }
 
 /// Everything one shard computes, in storable form. Per-cloud and noise
@@ -217,7 +217,7 @@ ShardData shard_from_json(const Json& j, VariantKind kind) {
     shard.accuracy_before = doubles_from_json(j.at("accuracy_before"));
     shard.accuracy_after = doubles_from_json(j.at("accuracy_after"));
     shard.delta_l2 = j.at("delta_l2").number();
-    shard.steps_used = static_cast<int>(j.at("steps_used").number());
+    shard.steps_used = j.at("steps_used").integer<int>();
   } else {
     for (const Json& row : j.at("cases").items()) shard.rows.push_back(row_from_json(row));
   }
@@ -870,15 +870,15 @@ RunDocument document_from_json(const Json& j) {
   // they are all attack tables.
   if (const Json* kind = j.find("kind")) doc.kind = kind->str();
   const Json& scale = j.at("scale");
-  doc.scale.scenes = static_cast<int>(scale.at("scenes").number());
-  doc.scale.hiding_scenes = static_cast<int>(scale.at("hiding_scenes").number());
-  doc.scale.pgd_steps = static_cast<int>(scale.at("pgd_steps").number());
-  doc.scale.cw_steps = static_cast<int>(scale.at("cw_steps").number());
+  doc.scale.scenes = scale.at("scenes").integer<int>();
+  doc.scale.hiding_scenes = scale.at("hiding_scenes").integer<int>();
+  doc.scale.pgd_steps = scale.at("pgd_steps").integer<int>();
+  doc.scale.cw_steps = scale.at("cw_steps").integer<int>();
   doc.scale.eps_color = static_cast<float>(scale.at("eps_color").number());
   doc.scale.eps_coord = static_cast<float>(scale.at("eps_coord").number());
   doc.dataset = j.at("dataset").str();
-  doc.scene_seed = std::stoull(j.at("scene_seed").str());
-  doc.scene_count = static_cast<int>(j.at("scene_count").number());
+  doc.scene_seed = parse_u64(j.at("scene_seed").str());
+  doc.scene_count = j.at("scene_count").integer<int>();
   doc.use_l0_distance = j.at("l0_distance").boolean();
   for (const Json& m : j.at("models").items()) {
     ModelSection section;
@@ -893,14 +893,14 @@ RunDocument document_from_json(const Json& j) {
         vr.accuracy_before = doubles_from_json(v.at("accuracy_before"));
         vr.accuracy_after = doubles_from_json(v.at("accuracy_after"));
         vr.shared_delta_l2 = v.at("delta_l2").number();
-        vr.shared_steps = static_cast<int>(v.at("steps_used").number());
+        vr.shared_steps = v.at("steps_used").integer<int>();
       } else {
         for (const Json& row : v.at("cases").items()) vr.cases.push_back(row_from_json(row));
         const Json& agg = v.at("aggregate");
         vr.aggregate.best = record_from_json(agg.at("best"));
         vr.aggregate.avg = record_from_json(agg.at("avg"));
         vr.aggregate.worst = record_from_json(agg.at("worst"));
-        vr.total_steps = static_cast<long long>(v.at("total_steps").number());
+        vr.total_steps = v.at("total_steps").integer<long long>();
       }
       section.variants.push_back(std::move(vr));
     }
@@ -908,14 +908,14 @@ RunDocument document_from_json(const Json& j) {
   }
   if (doc.kind == "defense_grid") {
     doc.source_model = j.at("source_model").str();
-    doc.defense_seed = std::stoull(j.at("defense_seed").str());
+    doc.defense_seed = parse_u64(j.at("defense_seed").str());
     for (const Json& a : j.at("grid_attacks").items()) {
       GridAttackResult trace;
       trace.label = a.at("label").str();
       trace.l2_color = doubles_from_json(a.at("l2_color"));
       trace.steps = steps_from_json(a.at("steps"));
       trace.mean_l2_color = a.at("mean_l2_color").number();
-      trace.total_steps = static_cast<long long>(a.at("total_steps").number());
+      trace.total_steps = a.at("total_steps").integer<long long>();
       doc.grid_attacks.push_back(std::move(trace));
     }
     for (const Json& c : j.at("grid").items()) {
@@ -961,7 +961,7 @@ RunOutcome run_spec(const ExperimentSpec& spec, ModelProvider& provider,
         out.cache_hit = true;
         out.wall_seconds = timer.seconds();
         return out;
-      } catch (const std::exception&) {  // parse or field errors (incl. stoull)
+      } catch (const std::exception&) {  // parse, field or integer-range errors
         out.document = RunDocument{};
         out.json.clear();
       }

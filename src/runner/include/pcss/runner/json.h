@@ -1,11 +1,34 @@
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace pcss::runner {
+
+/// True when `value` is a whole number inside T's range; NaN and the
+/// infinities are not. Casting a double outside the target range is
+/// undefined behavior, so every stored or received integer is read
+/// through this check.
+template <typename T>
+bool fits_integer(double value) {
+  static_assert(std::is_integral_v<T> && std::is_signed_v<T>);
+  // -min() is 2^(bits-1), exact in a double; NaN fails every comparison.
+  return value >= static_cast<double>(std::numeric_limits<T>::min()) &&
+         value < -static_cast<double>(std::numeric_limits<T>::min()) &&
+         value == std::floor(value);
+}
+
+/// Parses a string of decimal digits only — how documents store 64-bit
+/// seeds, which a double cannot hold. Throws std::runtime_error on an
+/// empty string, a sign, space or any other non-digit, or a value above
+/// UINT64_MAX.
+std::uint64_t parse_u64(const std::string& digits);
 
 /// Minimal dependency-free JSON value for the result store's documents.
 ///
@@ -40,6 +63,13 @@ class Json {
   bool boolean() const;
   double number() const;
   const std::string& str() const;
+  /// number() as a T; throws std::runtime_error unless fits_integer<T>.
+  template <typename T>
+  T integer() const {
+    const double value = number();
+    if (!fits_integer<T>(value)) integer_error(value);
+    return static_cast<T>(value);
+  }
 
   // -- array ----------------------------------------------------------------
   Json& push(Json value);  ///< returns the stored element
@@ -74,6 +104,7 @@ class Json {
   static constexpr int kMaxParseDepth = 256;
 
  private:
+  [[noreturn]] static void integer_error(double value);
   void dump_to(std::string& out, int depth) const;
   void dump_compact_to(std::string& out) const;
 

@@ -229,6 +229,29 @@ double Json::number() const {
   return number_;
 }
 
+void Json::integer_error(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  throw std::runtime_error(std::string("Json: ") + buf + " is not an integer in range");
+}
+
+std::uint64_t parse_u64(const std::string& digits) {
+  if (digits.empty()) throw std::runtime_error("parse_u64: empty string");
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t value = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') {
+      throw std::runtime_error("parse_u64: '" + digits + "' is not all digits");
+    }
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (value > (kMax - d) / 10) {
+      throw std::runtime_error("parse_u64: '" + digits + "' exceeds 64 bits");
+    }
+    value = value * 10 + d;
+  }
+  return value;
+}
+
 const std::string& Json::str() const {
   if (type_ != Type::kString) type_error("string", type_);
   return string_;

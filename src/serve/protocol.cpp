@@ -1,8 +1,5 @@
 #include "pcss/serve/protocol.h"
 
-#include <cmath>
-#include <limits>
-
 #include "pcss/runner/json.h"
 
 namespace pcss::serve {
@@ -30,12 +27,9 @@ bool read_bool(const Json& object, const char* key, bool fallback) {
 int read_int(const Json& object, const char* key, int fallback) {
   const Json* value = find_member(object, key);
   if (value == nullptr) return fallback;
-  // The range check also rejects inf ("1e999" parses to it): casting a
-  // double outside int's range is undefined behavior.
+  // fits_integer also rejects inf ("1e999" parses to it) and NaN.
   if (value->type() != Json::Type::kNumber ||
-      value->number() != std::floor(value->number()) ||
-      value->number() < std::numeric_limits<int>::min() ||
-      value->number() > std::numeric_limits<int>::max()) {
+      !pcss::runner::fits_integer<int>(value->number())) {
     throw ProtocolError(kErrBadRequest,
                         std::string("field '") + key + "' must be an integer in int range");
   }

@@ -22,7 +22,6 @@ Tensor mul(const Tensor& a, const Tensor& b);
 // -- Scalar broadcast ---------------------------------------------------------
 Tensor scale(const Tensor& a, float s);
 Tensor add_scalar(const Tensor& a, float s);
-Tensor neg(const Tensor& a);
 
 // -- Row-vector broadcast over [N, C] ----------------------------------------
 Tensor add_rowvec(const Tensor& x, const Tensor& bias);
@@ -43,8 +42,7 @@ Tensor tanh_op(const Tensor& a);
 Tensor square(const Tensor& a);
 
 // -- Reductions -----------------------------------------------------------------
-Tensor sum(const Tensor& a);   ///< -> [1]
-Tensor mean(const Tensor& a);  ///< -> [1]
+Tensor sum(const Tensor& a);  ///< -> [1]
 /// Row-wise sum of [N, C] -> [N, 1].
 Tensor row_sum(const Tensor& a);
 /// Elementwise sqrt(x + eps); eps guards the gradient at zero.
@@ -109,7 +107,6 @@ Tensor mul_rows(const Tensor& x, const Tensor& col);
 
 // -- Segment (neighbor-group) reductions over [N*K, C] -----------------------
 Tensor segment_max(const Tensor& x, std::int64_t k);   ///< -> [N, C]
-Tensor segment_mean(const Tensor& x, std::int64_t k);  ///< -> [N, C]
 Tensor segment_sum(const Tensor& x, std::int64_t k);   ///< -> [N, C]
 /// Softmax across each group of k rows, per channel (attentive pooling).
 Tensor segment_softmax(const Tensor& x, std::int64_t k);

@@ -30,7 +30,9 @@ namespace pcss::tensor::plan {
 //   replay_forward()  — run each recorded node's ForwardFn in capture order,
 //                       rewriting node.data (and value-dependent saved state
 //                       such as segment-max argmaxes) in place from the
-//                       parents' current data.
+//                       parents' current data. The ForwardFn is the function
+//                       the op's eager builder ran to compute the captured
+//                       value, so a replayed forward is the eager forward.
 //   replay_backward() — zero every gradient buffer backward touched last
 //                       time, seed the scalar root with 1, and fire the
 //                       captured reverse schedule. Accumulation order is the

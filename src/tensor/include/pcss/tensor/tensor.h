@@ -32,13 +32,15 @@ using TensorImplPtr = std::shared_ptr<TensorImpl>;
 /// ops.
 using BackwardFn = void (*)(TensorImpl& node);
 
-/// Forward recomputation rule for one node, used by compiled step plans
-/// (plan.h): rewrites node.data — and any value-dependent saved state such
-/// as argmax indices — in place from the parents' current data. Symmetric
-/// to BackwardFn: a plain function pointer resolved once at op-build time,
-/// so a plan replay is a flat loop of indirect calls with no dispatch and
-/// no allocation. Null for ops whose forward is not replayable (training
-/// batch norm mutates running stats; training dropout draws a fresh mask).
+/// The one forward of an op: writes node.data — and any value-dependent
+/// saved state such as argmax indices — from the parents' current data.
+/// The op's builder runs it once to compute the eager value, and a
+/// compiled step plan (plan.h) runs it again on every replay, so replay
+/// and eager execution share one definition. Symmetric to BackwardFn: a
+/// plain function pointer resolved once at op-build time, so a replay is a
+/// flat loop of indirect calls with no dispatch and no allocation. Only
+/// batch norm and dropout have none (training batch norm mutates running
+/// stats; training dropout draws a fresh mask).
 using ForwardFn = void (*)(TensorImpl& node);
 
 /// Saved-state record for backward rules that need more than scalars.
@@ -62,8 +64,8 @@ struct TensorImpl {
   bool requires_grad = false;
   std::vector<TensorImplPtr> parents;
   BackwardFn backward_fn = nullptr;
-  /// Set alongside backward_fn on gradient-carrying nodes; only compiled
-  /// step plans call it (eager execution never re-runs a forward).
+  /// Set alongside backward_fn on gradient-carrying nodes; compiled step
+  /// plans call it to recompute the value on replay.
   ForwardFn forward_fn = nullptr;
   /// Inline op state (meaning is op-specific: a stride, a segment width,
   /// a scale factor...). Avoids a BackwardCtx allocation for most ops.

@@ -21,44 +21,65 @@ namespace {
 
 using detail::check;
 
-/// Optional per-node backward state passed to make_node. Scalars land in
-/// the TensorImpl's inline slots; buffer-carrying ops attach a ctx.
+/// Per-node op state passed to make_node. Scalars land in the TensorImpl's
+/// inline slots; buffer-carrying ops attach a ctx. `fwd` is the op's one
+/// forward (see "Forward rules" below).
 struct NodeArgs {
   std::int64_t i0 = 0;
   std::int64_t i1 = 0;
   float f0 = 0.0f;
   bool flag = false;
   std::unique_ptr<BackwardCtx> ctx;
-  ForwardFn fwd = nullptr;  ///< replay rule; null marks the op uncapturable
+  ForwardFn fwd = nullptr;
 };
 
-/// Builds the result node, wiring parents and the backward dispatch only
-/// when some input participates in autograd (predict-mode graphs carry no
-/// backward state at all).
-Tensor make_node(Shape shape, FloatBuffer data, std::vector<TensorImplPtr> parents,
-                 BackwardFn backward_fn, NodeArgs args = {}) {
+/// Builds the result node around `data`: attaches parents and op state,
+/// runs `args.fwd` when the op has one, then wires parents and the
+/// backward dispatch only if some input participates in autograd. A
+/// predict-mode node drops its parents and ctx once its value exists, so
+/// inference graphs hold nothing alive. Only batch_norm and dropout call
+/// this directly, with a pre-filled `data` and no fwd: their forward has
+/// step-varying effects outside the graph (running statistics, a fresh
+/// RNG mask), so the node carries no ForwardFn and a graph containing it
+/// is never captured.
+Tensor build_node(Shape shape, FloatBuffer data, std::vector<TensorImplPtr> parents,
+                  BackwardFn backward_fn, NodeArgs args) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
   impl->data = std::move(data);
+  impl->parents = std::move(parents);
+  impl->op_i0 = args.i0;
+  impl->op_i1 = args.i1;
+  impl->op_f0 = args.f0;
+  impl->op_flag = args.flag;
+  impl->ctx = std::move(args.ctx);
+  if (args.fwd) args.fwd(*impl);
   bool rg = false;
-  for (const auto& p : parents) {
+  for (const auto& p : impl->parents) {
     if (p && p->requires_grad) rg = true;
   }
-  if (rg) {
-    impl->requires_grad = true;
-    impl->parents = std::move(parents);
-    impl->backward_fn = backward_fn;
-    impl->op_i0 = args.i0;
-    impl->op_i1 = args.i1;
-    impl->op_f0 = args.f0;
-    impl->op_flag = args.flag;
-    impl->ctx = std::move(args.ctx);
-    impl->forward_fn = args.fwd;
-    // Creation order is a valid topological order (parents exist before
-    // children by construction), so the recording is the replay schedule.
-    if (plan::detail::recording()) plan::detail::record_node(impl);
+  if (!rg) {
+    impl->parents = std::vector<TensorImplPtr>();
+    impl->ctx.reset();
+    return Tensor(std::move(impl));
   }
+  impl->requires_grad = true;
+  impl->backward_fn = backward_fn;
+  impl->forward_fn = args.fwd;
+  // Creation order is a valid topological order (parents exist before
+  // children by construction), so the recording is the replay schedule.
+  if (plan::detail::recording()) plan::detail::record_node(impl);
   return Tensor(std::move(impl));
+}
+
+/// Builds the result node of a validated op: its output comes from the
+/// pool and `args.fwd` computes the value — the same function a plan
+/// replay calls, so eager and replay share one forward.
+Tensor make_node(Shape shape, std::vector<TensorImplPtr> parents, BackwardFn backward_fn,
+                 NodeArgs args) {
+  FloatBuffer out = pool::acquire(static_cast<size_t>(shape_numel(shape)));
+  return build_node(std::move(shape), std::move(out), std::move(parents), backward_fn,
+                    std::move(args));
 }
 
 /// Telemetry only (lint rule D006 keeps obs out of document and cache
@@ -686,13 +707,14 @@ void mul_rows_bw(TensorImpl& node) {
 }
 
 // ---------------------------------------------------------------------------
-// Forward replay rules (compiled step plans, see plan.h). Each rewrites the
-// node's value buffer — and any value-dependent saved state such as argmax
-// indices — in place from the parents' current data, using exactly the
-// kernel and accumulation order of the eager builder above it, so a replayed
-// forward is bit-identical to an eager one. Structural state (shapes,
-// indices, masks, scalar parameters) is fixed at capture time and only read
-// here; bounds were validated during capture, so replays skip the checks.
+// Forward rules: the one forward of every op except batch_norm and dropout.
+// Each writes the node's value buffer — and any value-dependent saved state
+// such as argmax indices — from the parents' current data. The eager
+// builder runs it through make_node and a plan replay runs it again per
+// step (plan.h), so a replayed forward is the eager forward. Structural
+// state (shapes, indices, masks, scalar parameters) is fixed when the node
+// is built and only read here; the builder validated it before make_node,
+// so these rules read without bounds checks.
 // ---------------------------------------------------------------------------
 
 void add_fwd(TensorImpl& node) {
@@ -788,7 +810,7 @@ void gather_rows_fwd(TensorImpl& node) {
 }
 
 void scatter_rows_fwd(TensorImpl& node) {
-  // ctx.fbuf holds the fill template saved at capture time.
+  // ctx.fbuf holds the fill template the builder saved.
   std::copy(node.ctx->fbuf.begin(), node.ctx->fbuf.end(), node.data.begin());
   const float* pr = parent(node, 0)->data.data();
   const std::int64_t c = node.shape[1];
@@ -960,7 +982,7 @@ void hinge_margin_loss_fwd(TensorImpl& node) {
   const std::int64_t n = px->shape[0], c = px->shape[1];
   const auto& labels = node.ctx->labels;
   const auto& mask = node.ctx->mask;
-  auto& best_j = node.ctx->ibuf;  // value-dependent: rewritten per replay
+  auto& best_j = node.ctx->ibuf;  // value-dependent: rewritten per forward
   const bool targeted = node.op_flag;
   const float* z = px->data.data();
   double total = 0.0;
@@ -1008,8 +1030,8 @@ void smoothness_penalty_fwd(TensorImpl& node) {
 }
 
 void bn_relu_eval_fwd(TensorImpl& node) {
-  // Eval-mode running stats are frozen; the [mean | inv_std] pair cached in
-  // ctx.fbuf at capture time stays valid across replays.
+  // Eval-mode running stats are frozen; the [mean | inv_std] pair the
+  // builder cached in ctx.fbuf stays valid across replays.
   const std::int64_t c = node.shape[1];
   const float* mean = node.ctx->fbuf.data();
   const float* inv_std = mean + c;
@@ -1037,54 +1059,34 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* name) {
 
 Tensor add(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "add");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_add(a.data(), b.data(), out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl(), b.impl()}, add_bw,
-                   {.fwd = add_fwd});
+  return make_node(a.shape(), {a.impl(), b.impl()}, add_bw, {.fwd = add_fwd});
 }
 
 Tensor sub(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "sub");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_sub(a.data(), b.data(), out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl(), b.impl()}, sub_bw,
-                   {.fwd = sub_fwd});
+  return make_node(a.shape(), {a.impl(), b.impl()}, sub_bw, {.fwd = sub_fwd});
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
   check_same_shape(a, b, "mul");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_mul(a.data(), b.data(), out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl(), b.impl()}, mul_bw,
-                   {.fwd = mul_fwd});
+  return make_node(a.shape(), {a.impl(), b.impl()}, mul_bw, {.fwd = mul_fwd});
 }
 
 Tensor scale(const Tensor& a, float s) {
   check(a.defined(), "scale: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_scale(a.data(), s, out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl()}, scale_bw,
-                   {.f0 = s, .fwd = scale_fwd});
+  return make_node(a.shape(), {a.impl()}, scale_bw, {.f0 = s, .fwd = scale_fwd});
 }
 
 Tensor add_scalar(const Tensor& a, float s) {
   check(a.defined(), "add_scalar: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_add_scalar(a.data(), s, out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl()}, add_scalar_bw,
-                   {.f0 = s, .fwd = add_scalar_fwd});
+  return make_node(a.shape(), {a.impl()}, add_scalar_bw, {.f0 = s, .fwd = add_scalar_fwd});
 }
-
-Tensor neg(const Tensor& a) { return scale(a, -1.0f); }
 
 Tensor add_rowvec(const Tensor& x, const Tensor& bias) {
   check_matrix(x, "add_rowvec");
   check(bias.defined() && bias.numel() == x.dim(1),
         "add_rowvec: bias size must equal column count");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
-  simd::active().add_rowvec(x.data(), bias.data(), out.data(), n, c);
-  return make_node(x.shape(), std::move(out), {x.impl(), bias.impl()}, add_rowvec_bw,
+  return make_node(x.shape(), {x.impl(), bias.impl()}, add_rowvec_bw,
                    {.fwd = add_rowvec_fwd});
 }
 
@@ -1097,13 +1099,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   check_matrix(b, "matmul");
   check(a.dim(1) == b.dim(0), "matmul: inner dimensions differ: " + shape_str(a.shape()) +
                                   " x " + shape_str(b.shape()));
-  const std::int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
-  // gemm_nn_init overwrites the buffer (chains start at 0), so the
-  // acquire skips the zero-fill an accumulating kernel would need.
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * m));
-  note_gemm(n, k, m);
-  simd::active().gemm_nn_init(a.data(), b.data(), out.data(), n, k, m);
-  return make_node({n, m}, std::move(out), {a.impl(), b.impl()}, matmul_bw,
+  return make_node({a.dim(0), b.dim(1)}, {a.impl(), b.impl()}, matmul_bw,
                    {.fwd = matmul_fwd});
 }
 
@@ -1112,18 +1108,12 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
   check_matrix(w, "linear");
   check(x.dim(1) == w.dim(0), "linear: inner dimensions differ: " + shape_str(x.shape()) +
                                   " x " + shape_str(w.shape()));
-  const std::int64_t n = x.dim(0), k = x.dim(1), m = w.dim(1);
-  const simd::Kernels& K = simd::active();
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * m));
-  note_gemm(n, k, m);
-  K.gemm_nn_init(x.data(), w.data(), out.data(), n, k, m);
   std::vector<TensorImplPtr> parents{x.impl(), w.impl()};
   if (bias.defined()) {
-    check(bias.numel() == m, "linear: bias size must equal output width");
-    K.add_rowvec(out.data(), bias.data(), out.data(), n, m);  // in-place epilogue
+    check(bias.numel() == w.dim(1), "linear: bias size must equal output width");
     parents.push_back(bias.impl());
   }
-  return make_node({n, m}, std::move(out), std::move(parents), linear_bw,
+  return make_node({x.dim(0), w.dim(1)}, std::move(parents), linear_bw,
                    {.fwd = linear_fwd});
 }
 
@@ -1133,25 +1123,17 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
 
 Tensor relu(const Tensor& a) {
   check(a.defined(), "relu: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_relu(a.data(), out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl()}, relu_bw, {.fwd = relu_fwd});
+  return make_node(a.shape(), {a.impl()}, relu_bw, {.fwd = relu_fwd});
 }
 
 Tensor tanh_op(const Tensor& a) {
   check(a.defined(), "tanh: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  const float* pa = a.data();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(pa[i]);
-  return make_node(a.shape(), std::move(out), {a.impl()}, tanh_bw, {.fwd = tanh_fwd});
+  return make_node(a.shape(), {a.impl()}, tanh_bw, {.fwd = tanh_fwd});
 }
 
 Tensor square(const Tensor& a) {
   check(a.defined(), "square: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  simd::active().ew_square(a.data(), out.data(), out.size());
-  return make_node(a.shape(), std::move(out), {a.impl()}, square_bw,
-                   {.fwd = square_fwd});
+  return make_node(a.shape(), {a.impl()}, square_bw, {.fwd = square_fwd});
 }
 
 // ---------------------------------------------------------------------------
@@ -1160,36 +1142,17 @@ Tensor square(const Tensor& a) {
 
 Tensor sum(const Tensor& a) {
   check(a.defined(), "sum: undefined input");
-  // 8-lane double accumulation: deterministic across dispatch paths and
-  // still (near-)double precision like the previous sequential chain.
-  const double acc =
-      simd::active().reduce_sum_f64(a.data(), static_cast<size_t>(a.numel()));
-  FloatBuffer out = pool::acquire(1);
-  out[0] = static_cast<float>(acc);
-  return make_node({1}, std::move(out), {a.impl()}, sum_bw, {.fwd = sum_fwd});
-}
-
-Tensor mean(const Tensor& a) {
-  check(a.defined() && a.numel() > 0, "mean: undefined or empty input");
-  return scale(sum(a), 1.0f / static_cast<float>(a.numel()));
+  return make_node({1}, {a.impl()}, sum_bw, {.fwd = sum_fwd});
 }
 
 Tensor row_sum(const Tensor& a) {
   check_matrix(a, "row_sum");
-  const std::int64_t n = a.dim(0), c = a.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n));
-  simd::active().row_sum(a.data(), out.data(), n, c);
-  return make_node({n, 1}, std::move(out), {a.impl()}, row_sum_bw,
-                   {.fwd = row_sum_fwd});
+  return make_node({a.dim(0), 1}, {a.impl()}, row_sum_bw, {.fwd = row_sum_fwd});
 }
 
 Tensor sqrt_op(const Tensor& a, float eps) {
   check(a.defined(), "sqrt_op: undefined input");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(a.numel()));
-  const float* pa = a.data();
-  for (size_t i = 0; i < out.size(); ++i) out[i] = std::sqrt(std::max(pa[i] + eps, 0.0f));
-  return make_node(a.shape(), std::move(out), {a.impl()}, sqrt_bw,
-                   {.f0 = eps, .fwd = sqrt_fwd});
+  return make_node(a.shape(), {a.impl()}, sqrt_bw, {.f0 = eps, .fwd = sqrt_fwd});
 }
 
 // ---------------------------------------------------------------------------
@@ -1198,48 +1161,40 @@ Tensor sqrt_op(const Tensor& a, float eps) {
 
 Tensor gather_rows(const Tensor& x, const std::vector<std::int64_t>& idx) {
   check_matrix(x, "gather_rows");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  const std::int64_t m = static_cast<std::int64_t>(idx.size());
-  FloatBuffer out = pool::acquire(static_cast<size_t>(m * c));
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    if (idx[i] < 0 || idx[i] >= n) tensor_fail("gather_rows: index out of range");
-    std::copy_n(px + idx[i] * c, c, out.data() + i * c);
+  const std::int64_t n = x.dim(0);
+  for (const std::int64_t i : idx) {
+    if (i < 0 || i >= n) tensor_fail("gather_rows: index out of range");
   }
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf = idx;
-  return make_node({m, c}, std::move(out), {x.impl()}, gather_rows_bw,
-                   {.ctx = std::move(ctx), .fwd = gather_rows_fwd});
+  return make_node({static_cast<std::int64_t>(idx.size()), x.dim(1)}, {x.impl()},
+                   gather_rows_bw, {.ctx = std::move(ctx), .fwd = gather_rows_fwd});
 }
 
 Tensor scatter_rows(const Tensor& rows, const std::vector<std::int64_t>& idx,
                     std::int64_t out_rows, const std::vector<float>& fill) {
   check_matrix(rows, "scatter_rows");
-  const std::int64_t m = rows.dim(0), c = rows.dim(1);
-  check(static_cast<std::int64_t>(idx.size()) == m, "scatter_rows: idx/rows size mismatch");
+  const std::int64_t c = rows.dim(1);
+  check(static_cast<std::int64_t>(idx.size()) == rows.dim(0),
+        "scatter_rows: idx/rows size mismatch");
   check(static_cast<std::int64_t>(fill.size()) == out_rows * c,
         "scatter_rows: fill size must be out_rows * cols");
-  FloatBuffer out = pool::acquire(static_cast<size_t>(out_rows * c));
-  std::copy(fill.begin(), fill.end(), out.begin());
-  const float* pr = rows.data();
   std::vector<std::uint8_t> seen(static_cast<size_t>(out_rows), 0);
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t row = idx[static_cast<size_t>(i)];
+  for (const std::int64_t row : idx) {
     if (row < 0 || row >= out_rows) tensor_fail("scatter_rows: index out of range");
     // Duplicates would be last-write-wins forward but double-read in
     // backward — wrong gradients with no error — so the documented
     // distinct-index contract is enforced.
     if (seen[static_cast<size_t>(row)]) tensor_fail("scatter_rows: duplicate index");
     seen[static_cast<size_t>(row)] = 1;
-    std::copy_n(pr + i * c, c, out.data() + row * c);
   }
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf = idx;
-  // The fill template is part of the op's fixed state: replays restore it
-  // before scattering, so it is saved alongside the indices.
+  // The fill template is part of the op's fixed state: the forward copies
+  // it before scattering, so it is saved alongside the indices.
   ctx->fbuf = pool::acquire(fill.size());
   std::copy(fill.begin(), fill.end(), ctx->fbuf.begin());
-  return make_node({out_rows, c}, std::move(out), {rows.impl()}, scatter_rows_bw,
+  return make_node({out_rows, c}, {rows.impl()}, scatter_rows_bw,
                    {.ctx = std::move(ctx), .fwd = scatter_rows_fwd});
 }
 
@@ -1249,27 +1204,18 @@ Tensor weighted_gather_rows(const Tensor& x, const std::vector<std::int64_t>& id
   check(idx.size() == weights.size(), "weighted_gather_rows: idx/weights size mismatch");
   check(k_per_row > 0 && idx.size() % static_cast<size_t>(k_per_row) == 0,
         "weighted_gather_rows: idx size must be a multiple of k_per_row");
-  const std::int64_t nsrc = x.dim(0), c = x.dim(1);
-  const std::int64_t nout = static_cast<std::int64_t>(idx.size()) / k_per_row;
-  const simd::Kernels& K = simd::active();
-  FloatBuffer out = pool::acquire_zeroed(static_cast<size_t>(nout * c));
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < nout; ++i) {
-    float* dst = out.data() + i * c;
-    for (std::int64_t k = 0; k < k_per_row; ++k) {
-      const std::int64_t src_row = idx[i * k_per_row + k];
-      if (src_row < 0 || src_row >= nsrc) {
-        tensor_fail("weighted_gather_rows: index out of range");
-      }
-      K.acc_axpy(dst, px + src_row * c, weights[i * k_per_row + k],
-                 static_cast<size_t>(c));
+  const std::int64_t nsrc = x.dim(0);
+  for (const std::int64_t src_row : idx) {
+    if (src_row < 0 || src_row >= nsrc) {
+      tensor_fail("weighted_gather_rows: index out of range");
     }
   }
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf = idx;
   ctx->fbuf = pool::acquire(weights.size());
   std::copy(weights.begin(), weights.end(), ctx->fbuf.begin());
-  return make_node({nout, c}, std::move(out), {x.impl()}, weighted_gather_rows_bw,
+  const std::int64_t nout = static_cast<std::int64_t>(idx.size()) / k_per_row;
+  return make_node({nout, x.dim(1)}, {x.impl()}, weighted_gather_rows_bw,
                    {.i0 = k_per_row, .ctx = std::move(ctx),
                     .fwd = weighted_gather_rows_fwd});
 }
@@ -1277,15 +1223,7 @@ Tensor weighted_gather_rows(const Tensor& x, const std::vector<std::int64_t>& id
 Tensor repeat_rows(const Tensor& x, std::int64_t k) {
   check_matrix(x, "repeat_rows");
   check(k > 0, "repeat_rows: k must be positive");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * k * c));
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t r = 0; r < k; ++r) {
-      std::copy_n(px + i * c, c, out.data() + (i * k + r) * c);
-    }
-  }
-  return make_node({n * k, c}, std::move(out), {x.impl()}, repeat_rows_bw,
+  return make_node({x.dim(0) * k, x.dim(1)}, {x.impl()}, repeat_rows_bw,
                    {.i0 = k, .fwd = repeat_rows_fwd});
 }
 
@@ -1293,50 +1231,25 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
   check_matrix(a, "concat_cols");
   check_matrix(b, "concat_cols");
   check(a.dim(0) == b.dim(0), "concat_cols: row counts differ");
-  const std::int64_t n = a.dim(0), ca = a.dim(1), cb = b.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * (ca + cb)));
-  const float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::copy_n(pa + i * ca, ca, out.data() + i * (ca + cb));
-    std::copy_n(pb + i * cb, cb, out.data() + i * (ca + cb) + ca);
-  }
-  return make_node({n, ca + cb}, std::move(out), {a.impl(), b.impl()}, concat_cols_bw,
+  return make_node({a.dim(0), a.dim(1) + b.dim(1)}, {a.impl(), b.impl()}, concat_cols_bw,
                    {.fwd = concat_cols_fwd});
 }
 
 Tensor concat_cols4(const Tensor& a, const Tensor& b, const Tensor& c, const Tensor& d) {
-  const Tensor* parts[4] = {&a, &b, &c, &d};
   std::int64_t total = 0;
-  for (const Tensor* t : parts) {
+  for (const Tensor* t : {&a, &b, &c, &d}) {
     check_matrix(*t, "concat_cols4");
     check(t->dim(0) == a.dim(0), "concat_cols4: row counts differ");
     total += t->dim(1);
   }
-  const std::int64_t n = a.dim(0);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * total));
-  std::int64_t offset = 0;
-  for (const Tensor* t : parts) {
-    const std::int64_t w = t->dim(1);
-    const float* src = t->data();
-    for (std::int64_t i = 0; i < n; ++i) {
-      std::copy_n(src + i * w, w, out.data() + i * total + offset);
-    }
-    offset += w;
-  }
-  return make_node({n, total}, std::move(out),
-                   {a.impl(), b.impl(), c.impl(), d.impl()}, concat_cols4_bw,
-                   {.fwd = concat_cols4_fwd});
+  return make_node({a.dim(0), total}, {a.impl(), b.impl(), c.impl(), d.impl()},
+                   concat_cols4_bw, {.fwd = concat_cols4_fwd});
 }
 
 Tensor slice_cols(const Tensor& x, std::int64_t c0, std::int64_t c1) {
   check_matrix(x, "slice_cols");
   check(0 <= c0 && c0 < c1 && c1 <= x.dim(1), "slice_cols: bad column range");
-  const std::int64_t n = x.dim(0), c = x.dim(1), w = c1 - c0;
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * w));
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < n; ++i) std::copy_n(px + i * c + c0, w, out.data() + i * w);
-  return make_node({n, w}, std::move(out), {x.impl()}, slice_cols_bw,
+  return make_node({x.dim(0), c1 - c0}, {x.impl()}, slice_cols_bw,
                    {.i0 = c0, .fwd = slice_cols_fwd});
 }
 
@@ -1346,15 +1259,8 @@ Tensor scatter_add_cols(const Tensor& base, const Tensor& delta, std::int64_t co
   check(base.dim(0) == delta.dim(0), "scatter_add_cols: row counts differ");
   check(col0 >= 0 && col0 + delta.dim(1) <= base.dim(1),
         "scatter_add_cols: delta columns exceed base");
-  const std::int64_t n = base.dim(0), c = base.dim(1), d = delta.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
-  std::copy_n(base.data(), n * c, out.data());
-  const float* pd = delta.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < d; ++j) out[i * c + col0 + j] += pd[i * d + j];
-  }
-  return make_node(base.shape(), std::move(out), {base.impl(), delta.impl()},
-                   scatter_add_cols_bw, {.i0 = col0, .fwd = scatter_add_cols_fwd});
+  return make_node(base.shape(), {base.impl(), delta.impl()}, scatter_add_cols_bw,
+                   {.i0 = col0, .fwd = scatter_add_cols_fwd});
 }
 
 // ---------------------------------------------------------------------------
@@ -1370,11 +1276,9 @@ Tensor edge_features(const Tensor& h, const std::vector<std::int64_t>& idx,
   for (const std::int64_t j : idx) {
     if (j < 0 || j >= n) tensor_fail("edge_features: index out of range");
   }
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * k * 2 * c));
-  simd::active().edge_features(h.data(), idx.data(), out.data(), n, k, c);
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf = idx;
-  return make_node({n * k, 2 * c}, std::move(out), {h.impl()}, edge_features_bw,
+  return make_node({n * k, 2 * c}, {h.impl()}, edge_features_bw,
                    {.i0 = k, .ctx = std::move(ctx), .fwd = edge_features_fwd});
 }
 
@@ -1383,28 +1287,19 @@ Tensor gather_sub_rows(const Tensor& x, const std::vector<std::int64_t>& idx_a,
   check_matrix(x, "gather_sub_rows");
   check(k > 0 && idx_a.size() == idx_b.size() * static_cast<size_t>(k),
         "gather_sub_rows: idx_a must have k entries per idx_b entry");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  const std::int64_t nout = static_cast<std::int64_t>(idx_b.size());
-  FloatBuffer out = pool::acquire(static_cast<size_t>(nout * k * c));
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < nout; ++i) {
-    if (idx_b[static_cast<size_t>(i)] < 0 || idx_b[static_cast<size_t>(i)] >= n) {
-      tensor_fail("gather_sub_rows: center index out of range");
-    }
-    const float* xb = px + idx_b[static_cast<size_t>(i)] * c;
-    for (std::int64_t r = 0; r < k; ++r) {
-      const std::int64_t a = idx_a[static_cast<size_t>(i * k + r)];
-      if (a < 0 || a >= n) tensor_fail("gather_sub_rows: neighbor index out of range");
-      const float* xa = px + a * c;
-      float* row = out.data() + (i * k + r) * c;
-      for (std::int64_t t = 0; t < c; ++t) row[t] = xa[t] - xb[t];
-    }
+  const std::int64_t n = x.dim(0);
+  for (const std::int64_t b : idx_b) {
+    if (b < 0 || b >= n) tensor_fail("gather_sub_rows: center index out of range");
+  }
+  for (const std::int64_t a : idx_a) {
+    if (a < 0 || a >= n) tensor_fail("gather_sub_rows: neighbor index out of range");
   }
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf.reserve(idx_a.size() + idx_b.size());
   ctx->ibuf.insert(ctx->ibuf.end(), idx_a.begin(), idx_a.end());
   ctx->ibuf.insert(ctx->ibuf.end(), idx_b.begin(), idx_b.end());
-  return make_node({nout * k, c}, std::move(out), {x.impl()}, gather_sub_rows_bw,
+  return make_node({static_cast<std::int64_t>(idx_a.size()), x.dim(1)}, {x.impl()},
+                   gather_sub_rows_bw,
                    {.i0 = k, .ctx = std::move(ctx), .fwd = gather_sub_rows_fwd});
 }
 
@@ -1412,11 +1307,7 @@ Tensor mul_rows(const Tensor& x, const Tensor& col) {
   check_matrix(x, "mul_rows");
   check(col.defined() && col.rank() == 2 && col.dim(1) == 1 && col.dim(0) == x.dim(0),
         "mul_rows: col must be [N, 1] with matching rows");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
-  simd::active().mul_rows(x.data(), col.data(), out.data(), n, c);
-  return make_node(x.shape(), std::move(out), {x.impl(), col.impl()}, mul_rows_bw,
-                   {.fwd = mul_rows_fwd});
+  return make_node(x.shape(), {x.impl(), col.impl()}, mul_rows_bw, {.fwd = mul_rows_fwd});
 }
 
 // ---------------------------------------------------------------------------
@@ -1436,41 +1327,21 @@ void check_segments(const Tensor& x, std::int64_t k, const char* name) {
 Tensor segment_max(const Tensor& x, std::int64_t k) {
   check_segments(x, k, "segment_max");
   const std::int64_t n = x.dim(0) / k, c = x.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf.resize(static_cast<size_t>(n * c));
-  simd::active().segment_max(x.data(), out.data(), ctx->ibuf.data(), n, k, c);
-  return make_node({n, c}, std::move(out), {x.impl()}, segment_max_bw,
+  return make_node({n, c}, {x.impl()}, segment_max_bw,
                    {.i0 = k, .ctx = std::move(ctx), .fwd = segment_max_fwd});
 }
 
 Tensor segment_sum(const Tensor& x, std::int64_t k) {
   check_segments(x, k, "segment_sum");
-  const std::int64_t n = x.dim(0) / k, c = x.dim(1);
-  const simd::Kernels& K = simd::active();
-  FloatBuffer out = pool::acquire_zeroed(static_cast<size_t>(n * c));
-  const float* px = x.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t r = 0; r < k; ++r) {
-      K.acc_add(out.data() + i * c, px + (i * k + r) * c, static_cast<size_t>(c));
-    }
-  }
-  return make_node({n, c}, std::move(out), {x.impl()}, segment_sum_bw,
+  return make_node({x.dim(0) / k, x.dim(1)}, {x.impl()}, segment_sum_bw,
                    {.i0 = k, .fwd = segment_sum_fwd});
-}
-
-Tensor segment_mean(const Tensor& x, std::int64_t k) {
-  return scale(segment_sum(x, k), 1.0f / static_cast<float>(k));
 }
 
 Tensor segment_softmax(const Tensor& x, std::int64_t k) {
   check_segments(x, k, "segment_softmax");
-  const std::int64_t n = x.dim(0) / k, c = x.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(x.numel()));
-  FloatBuffer scratch = pool::acquire(static_cast<size_t>(2 * c));
-  simd::active().segment_softmax(x.data(), out.data(), scratch.data(), n, k, c);
-  pool::release(std::move(scratch));
-  return make_node(x.shape(), std::move(out), {x.impl()}, segment_softmax_bw,
+  return make_node(x.shape(), {x.impl()}, segment_softmax_bw,
                    {.i0 = k, .fwd = segment_softmax_fwd});
 }
 
@@ -1480,78 +1351,58 @@ Tensor segment_softmax(const Tensor& x, std::int64_t k) {
 
 Tensor log_softmax_rows(const Tensor& x) {
   check_matrix(x, "log_softmax_rows");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
-  simd::active().log_softmax_rows(x.data(), out.data(), n, c);
-  return make_node(x.shape(), std::move(out), {x.impl()}, log_softmax_rows_bw,
+  return make_node(x.shape(), {x.impl()}, log_softmax_rows_bw,
                    {.fwd = log_softmax_rows_fwd});
 }
 
-Tensor nll_loss_masked(const Tensor& log_probs, const std::vector<int>& labels,
-                       const std::vector<std::uint8_t>& mask) {
-  check_matrix(log_probs, "nll_loss_masked");
-  const std::int64_t n = log_probs.dim(0), c = log_probs.dim(1);
-  check(static_cast<std::int64_t>(labels.size()) == n, "nll_loss_masked: labels size");
+namespace {
+
+/// Shared label/mask validation of the two per-row loss ops: sizes match,
+/// and every selected row's label names a class. Returns the number of
+/// selected rows.
+std::int64_t check_labels(const Tensor& x, const std::vector<int>& labels,
+                          const std::vector<std::uint8_t>& mask, const char* name) {
+  check_matrix(x, name);
+  const std::int64_t n = x.dim(0), c = x.dim(1);
+  check(static_cast<std::int64_t>(labels.size()) == n, std::string(name) + ": labels size");
   check(mask.empty() || static_cast<std::int64_t>(mask.size()) == n,
-        "nll_loss_masked: mask size");
-  double acc = 0.0;
+        std::string(name) + ": mask size");
   std::int64_t count = 0;
-  const float* p = log_probs.data();
   for (std::int64_t i = 0; i < n; ++i) {
-    if (!mask.empty() && !mask[i]) continue;
-    check(labels[i] >= 0 && labels[i] < c, "nll_loss_masked: label out of range");
-    acc -= p[i * c + labels[i]];
+    if (!mask.empty() && !mask[static_cast<size_t>(i)]) continue;
+    const int y = labels[static_cast<size_t>(i)];
+    if (y < 0 || y >= c) tensor_fail(std::string(name) + ": label out of range");
     ++count;
   }
+  return count;
+}
+
+}  // namespace
+
+Tensor nll_loss_masked(const Tensor& log_probs, const std::vector<int>& labels,
+                       const std::vector<std::uint8_t>& mask) {
+  const std::int64_t count = check_labels(log_probs, labels, mask, "nll_loss_masked");
   check(count > 0, "nll_loss_masked: empty selection");
-  const float inv = 1.0f / static_cast<float>(count);
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->labels = labels;
   ctx->mask = mask;
-  FloatBuffer out = pool::acquire(1);
-  out[0] = static_cast<float>(acc * inv);
-  return make_node({1}, std::move(out), {log_probs.impl()}, nll_loss_masked_bw,
-                   {.f0 = inv, .ctx = std::move(ctx), .fwd = nll_loss_masked_fwd});
+  return make_node({1}, {log_probs.impl()}, nll_loss_masked_bw,
+                   {.f0 = 1.0f / static_cast<float>(count), .ctx = std::move(ctx),
+                    .fwd = nll_loss_masked_fwd});
 }
 
 Tensor hinge_margin_loss(const Tensor& logits, const std::vector<int>& labels,
                          const std::vector<std::uint8_t>& mask, bool targeted) {
   check_matrix(logits, "hinge_margin_loss");
-  const std::int64_t n = logits.dim(0), c = logits.dim(1);
-  check(static_cast<std::int64_t>(labels.size()) == n, "hinge_margin_loss: labels size");
-  check(mask.empty() || static_cast<std::int64_t>(mask.size()) == n,
-        "hinge_margin_loss: mask size");
-  check(c >= 2, "hinge_margin_loss: needs at least 2 classes");
-  const float* z = logits.data();
-  double total = 0.0;
-  // For each active row, remember the competing argmax (j != y) and whether
-  // the hinge is active, for the backward pass.
+  check(logits.dim(1) >= 2, "hinge_margin_loss: needs at least 2 classes");
+  check_labels(logits, labels, mask, "hinge_margin_loss");
+  // ibuf holds each row's competing argmax (j != y), or -1 where the hinge
+  // is inactive or the row is masked out; the forward rewrites it.
   auto ctx = std::make_unique<BackwardCtx>();
-  ctx->ibuf.assign(static_cast<size_t>(n), -1);
+  ctx->ibuf.resize(static_cast<size_t>(logits.dim(0)));
   ctx->labels = labels;
-  ctx->mask = mask;  // replays recompute the active set from the fixed mask
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!mask.empty() && !mask[i]) continue;
-    const int y = labels[i];
-    check(y >= 0 && y < c, "hinge_margin_loss: label out of range");
-    float best = -std::numeric_limits<float>::infinity();
-    std::int64_t bj = -1;
-    for (std::int64_t j = 0; j < c; ++j) {
-      if (j == y) continue;
-      if (z[i * c + j] > best) {
-        best = z[i * c + j];
-        bj = j;
-      }
-    }
-    const float margin = targeted ? best - z[i * c + y] : z[i * c + y] - best;
-    if (margin > 0.0f) {
-      total += margin;
-      ctx->ibuf[static_cast<size_t>(i)] = bj;
-    }
-  }
-  FloatBuffer out = pool::acquire(1);
-  out[0] = static_cast<float>(total);
-  return make_node({1}, std::move(out), {logits.impl()}, hinge_margin_loss_bw,
+  ctx->mask = mask;
+  return make_node({1}, {logits.impl()}, hinge_margin_loss_bw,
                    {.flag = targeted, .ctx = std::move(ctx),
                     .fwd = hinge_margin_loss_fwd});
 }
@@ -1559,28 +1410,15 @@ Tensor hinge_margin_loss(const Tensor& logits, const std::vector<int>& labels,
 Tensor smoothness_penalty(const Tensor& x, const std::vector<std::int64_t>& neighbor_idx,
                           std::int64_t alpha) {
   check_matrix(x, "smoothness_penalty");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
+  const std::int64_t n = x.dim(0);
   check(alpha > 0 && static_cast<std::int64_t>(neighbor_idx.size()) == n * alpha,
         "smoothness_penalty: neighbor_idx must have N*alpha entries");
-  const float* px = x.data();
-  double total = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t k = 0; k < alpha; ++k) {
-      const std::int64_t j = neighbor_idx[i * alpha + k];
-      check(j >= 0 && j < n, "smoothness_penalty: neighbor index out of range");
-      double d2 = 0.0;
-      for (std::int64_t t = 0; t < c; ++t) {
-        const double d = px[i * c + t] - px[j * c + t];
-        d2 += d * d;
-      }
-      total += std::sqrt(d2);
-    }
+  for (const std::int64_t j : neighbor_idx) {
+    if (j < 0 || j >= n) tensor_fail("smoothness_penalty: neighbor index out of range");
   }
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf = neighbor_idx;
-  FloatBuffer out = pool::acquire(1);
-  out[0] = static_cast<float>(total);
-  return make_node({1}, std::move(out), {x.impl()}, smoothness_penalty_bw,
+  return make_node({1}, {x.impl()}, smoothness_penalty_bw,
                    {.i0 = alpha, .ctx = std::move(ctx), .fwd = smoothness_penalty_fwd});
 }
 
@@ -1629,15 +1467,15 @@ Tensor batch_norm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   simd::active().bn_affine(px, gamma.data(), beta.data(), mean_v.data(),
                            inv_std.data(), out.data(), xhat, n, c);
   std::copy_n(inv_std.data(), c, xhat + n * c);
-  return make_node(x.shape(), std::move(out), {x.impl(), gamma.impl(), beta.impl()},
-                   batch_norm_bw, {.flag = training, .ctx = std::move(ctx)});
+  return build_node(x.shape(), std::move(out), {x.impl(), gamma.impl(), beta.impl()},
+                    batch_norm_bw, {.flag = training, .ctx = std::move(ctx)});
 }
 
 Tensor bn_relu_eval(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                     const std::vector<float>& running_mean,
                     const std::vector<float>& running_var, float eps) {
   check_matrix(x, "bn_relu_eval");
-  const std::int64_t n = x.dim(0), c = x.dim(1);
+  const std::int64_t c = x.dim(1);
   check(gamma.numel() == c && beta.numel() == c, "bn_relu_eval: affine parameter size");
   check(static_cast<std::int64_t>(running_mean.size()) == c &&
             static_cast<std::int64_t>(running_var.size()) == c,
@@ -1651,13 +1489,8 @@ Tensor bn_relu_eval(const Tensor& x, const Tensor& gamma, const Tensor& beta,
     mean[j] = running_mean[j];
     inv_std[j] = 1.0f / std::sqrt(running_var[j] + eps);
   }
-  FloatBuffer out = pool::acquire(static_cast<size_t>(n * c));
-  // Same expression shapes as the unfused bn -> relu chain, so the fused
-  // output is bit-identical to relu(batch_norm(x, ..., eval)).
-  simd::active().bn_relu_eval(x.data(), gamma.data(), beta.data(), mean, inv_std,
-                              out.data(), n, c);
-  return make_node(x.shape(), std::move(out), {x.impl(), gamma.impl(), beta.impl()},
-                   bn_relu_eval_bw, {.ctx = std::move(ctx), .fwd = bn_relu_eval_fwd});
+  return make_node(x.shape(), {x.impl(), gamma.impl(), beta.impl()}, bn_relu_eval_bw,
+                   {.ctx = std::move(ctx), .fwd = bn_relu_eval_fwd});
 }
 
 Tensor dropout(const Tensor& x, float p, Rng& rng, bool training) {
@@ -1679,8 +1512,8 @@ Tensor dropout(const Tensor& x, float p, Rng& rng, bool training) {
     ctx->fbuf[i] = m;
     out[i] = px[i] * m;
   }
-  return make_node(x.shape(), std::move(out), {x.impl()}, dropout_bw,
-                   {.ctx = std::move(ctx)});
+  return build_node(x.shape(), std::move(out), {x.impl()}, dropout_bw,
+                    {.ctx = std::move(ctx)});
 }
 
 // ---------------------------------------------------------------------------

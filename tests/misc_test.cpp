@@ -3,9 +3,11 @@
 // sampling boundaries, and experiment distance-metric switching.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "gradcheck.h"
 #include "pcss/core/experiment.h"
@@ -78,6 +80,33 @@ TEST(TensorExtras, HingeRejectsBadInputs) {
   EXPECT_THROW(ops::hinge_margin_loss(logits, {0, 9}, {}, false), std::runtime_error);
   Tensor one_class = Tensor::zeros({2, 1});
   EXPECT_THROW(ops::hinge_margin_loss(one_class, {0, 0}, {}, false), std::runtime_error);
+}
+
+TEST(TensorExtras, HostileIndicesThrowBeforeTheForwardReads) {
+  // The forward rules read without bounds checks, so every index, label
+  // and neighbor is validated before the output is computed: each of
+  // these throws (under ASan: without an out-of-bounds read first).
+  Tensor x = Tensor::zeros({4, 3});
+  for (const std::int64_t bad : {std::int64_t{-1}, std::int64_t{4}, std::int64_t{1} << 40}) {
+    EXPECT_THROW(ops::gather_rows(x, {0, bad}), std::runtime_error) << bad;
+    EXPECT_THROW(ops::weighted_gather_rows(x, {0, bad}, {1.0f, 1.0f}, 2), std::runtime_error);
+    EXPECT_THROW(ops::gather_sub_rows(x, {0, bad}, {1}, 2), std::runtime_error);
+    EXPECT_THROW(ops::gather_sub_rows(x, {0, 1}, {bad}, 2), std::runtime_error);
+    EXPECT_THROW(ops::edge_features(x, {0, 1, 2, 3, 0, 1, 2, bad}, 2), std::runtime_error);
+    EXPECT_THROW(ops::smoothness_penalty(x, {1, 2, 3, bad}, 1), std::runtime_error);
+    EXPECT_THROW(ops::scatter_rows(Tensor::zeros({2, 3}), {0, bad}, 4,
+                                   std::vector<float>(12, 0.0f)),
+                 std::runtime_error);
+  }
+  EXPECT_THROW(ops::scatter_rows(Tensor::zeros({2, 3}), {1, 1}, 4, std::vector<float>(12)),
+               std::runtime_error)
+      << "duplicate scatter index";
+  EXPECT_THROW(ops::nll_loss_masked(x, {0, 1, 3, 2}, {}), std::runtime_error);
+  EXPECT_THROW(ops::nll_loss_masked(x, {0, -1, 2, 2}, {}), std::runtime_error);
+  EXPECT_THROW(ops::hinge_margin_loss(x, {0, 1, -7, 2}, {}, true), std::runtime_error);
+  // A masked-out row's label is never read, so it is not checked.
+  EXPECT_NO_THROW(ops::nll_loss_masked(x, {0, 99, 2, 2}, {1, 0, 1, 1}));
+  EXPECT_NO_THROW(ops::hinge_margin_loss(x, {0, 99, 2, 2}, {1, 0, 1, 1}, false));
 }
 
 TEST(TensorExtras, SegmentOpsRejectBadK) {

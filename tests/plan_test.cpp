@@ -8,8 +8,13 @@
 // that silently fell back to eager would otherwise pass vacuously.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "pcss/core/attack_engine.h"
@@ -177,6 +182,184 @@ TEST(PlanBuilder, TrainingModeGraphIsNotCapturable) {
   EXPECT_FALSE(builder.finish(compiled));
   EXPECT_FALSE(compiled.valid());
 }
+
+// --- Replay contract, one row per capturable op ----------------------------
+//
+// Every op with a ForwardFn: capture op -> weighted sum -> backward, write
+// new values into the leaves, replay, and compare the value and every leaf
+// gradient byte-for-byte with a fresh eager build on the new values. The
+// same row checks predict mode: built from no-grad inputs, the node keeps
+// no parents, ctx or ForwardFn.
+
+struct OpRow {
+  const char* name;
+  std::vector<pcss::tensor::Shape> leaves;
+  std::function<Tensor(const std::vector<Tensor>&)> build;
+  float lo = -1.0f;  ///< leaf values are uniform in [lo, 1]
+  /// The op saves value-dependent state in ctx.ibuf (segment_max's argmax,
+  /// hinge_margin_loss's best_j): the mutation must change it.
+  bool value_state = false;
+};
+
+void PrintTo(const OpRow& row, std::ostream* os) { *os << row.name; }
+
+std::vector<Tensor> make_leaves(const OpRow& row, std::uint64_t seed, bool grad) {
+  Rng rng(seed);
+  std::vector<Tensor> leaves;
+  for (const auto& shape : row.leaves) {
+    leaves.push_back(Tensor::uniform(shape, rng, row.lo, 1.0f));
+    leaves.back().set_requires_grad(grad);
+  }
+  return leaves;
+}
+
+/// op -> sum(op * w) with fixed distinct weights, so every output element
+/// reaches the gradients with its own factor.
+Tensor weighted_sum(const Tensor& out) {
+  std::vector<float> w(static_cast<size_t>(out.numel()));
+  for (size_t i = 0; i < w.size(); ++i) w[i] = 0.5f + 0.125f * static_cast<float>(i % 7);
+  return ops::sum(ops::mul(out, Tensor::from_data(out.shape(), std::move(w))));
+}
+
+bool same_bytes(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+const std::vector<OpRow>& op_rows() {
+  using V = std::vector<Tensor>;
+  static const std::vector<float> kMean{0.1f, -0.2f, 0.05f}, kVar{0.9f, 1.3f, 0.4f};
+  static const std::vector<OpRow> rows = {
+      {"add", {{4, 3}, {4, 3}}, [](const V& l) { return ops::add(l[0], l[1]); }},
+      {"sub", {{4, 3}, {4, 3}}, [](const V& l) { return ops::sub(l[0], l[1]); }},
+      {"mul", {{4, 3}, {4, 3}}, [](const V& l) { return ops::mul(l[0], l[1]); }},
+      {"scale", {{4, 3}}, [](const V& l) { return ops::scale(l[0], -1.5f); }},
+      {"add_scalar", {{4, 3}}, [](const V& l) { return ops::add_scalar(l[0], 0.25f); }},
+      {"add_rowvec", {{4, 3}, {3}}, [](const V& l) { return ops::add_rowvec(l[0], l[1]); }},
+      {"matmul", {{4, 3}, {3, 5}}, [](const V& l) { return ops::matmul(l[0], l[1]); }},
+      {"linear", {{4, 3}, {3, 5}, {5}},
+       [](const V& l) { return ops::linear(l[0], l[1], l[2]); }},
+      {"linear_no_bias", {{4, 3}, {3, 5}},
+       [](const V& l) { return ops::linear(l[0], l[1], Tensor()); }},
+      {"relu", {{4, 3}}, [](const V& l) { return ops::relu(l[0]); }},
+      {"tanh_op", {{4, 3}}, [](const V& l) { return ops::tanh_op(l[0]); }},
+      {"square", {{4, 3}}, [](const V& l) { return ops::square(l[0]); }},
+      {"sum", {{4, 3}}, [](const V& l) { return ops::sum(l[0]); }},
+      {"row_sum", {{4, 3}}, [](const V& l) { return ops::row_sum(l[0]); }},
+      {"sqrt_op", {{4, 3}}, [](const V& l) { return ops::sqrt_op(l[0]); }, 0.1f},
+      {"gather_rows", {{5, 3}},
+       [](const V& l) { return ops::gather_rows(l[0], {4, 0, 4, 2, 1, 1}); }},
+      {"scatter_rows", {{3, 2}},
+       [](const V& l) {
+         return ops::scatter_rows(l[0], {4, 0, 2}, 5,
+                                  {9, 8, 7, 6, 5, 4, 3, 2, 1, 0});
+       }},
+      {"weighted_gather_rows", {{5, 3}},
+       [](const V& l) {
+         return ops::weighted_gather_rows(l[0], {0, 1, 2, 3, 4, 0},
+                                          {0.5f, 0.25f, 0.25f, 1.0f, -0.5f, 2.0f}, 3);
+       }},
+      {"repeat_rows", {{3, 2}}, [](const V& l) { return ops::repeat_rows(l[0], 3); }},
+      {"concat_cols", {{4, 2}, {4, 3}},
+       [](const V& l) { return ops::concat_cols(l[0], l[1]); }},
+      {"concat_cols4", {{3, 1}, {3, 2}, {3, 3}, {3, 1}},
+       [](const V& l) { return ops::concat_cols4(l[0], l[1], l[2], l[3]); }},
+      {"slice_cols", {{4, 5}}, [](const V& l) { return ops::slice_cols(l[0], 1, 4); }},
+      {"scatter_add_cols", {{4, 5}, {4, 2}},
+       [](const V& l) { return ops::scatter_add_cols(l[0], l[1], 2); }},
+      {"edge_features", {{4, 3}},
+       [](const V& l) { return ops::edge_features(l[0], {1, 2, 0, 3, 3, 1, 2, 0}, 2); }},
+      {"gather_sub_rows", {{5, 3}},
+       [](const V& l) {
+         return ops::gather_sub_rows(l[0], {1, 2, 0, 4, 3, 3}, {0, 2, 4}, 2);
+       }},
+      {"mul_rows", {{4, 3}, {4, 1}}, [](const V& l) { return ops::mul_rows(l[0], l[1]); }},
+      {"segment_max", {{8, 3}}, [](const V& l) { return ops::segment_max(l[0], 2); },
+       -1.0f, true},
+      {"segment_sum", {{6, 3}}, [](const V& l) { return ops::segment_sum(l[0], 3); }},
+      {"segment_softmax", {{6, 3}},
+       [](const V& l) { return ops::segment_softmax(l[0], 3); }},
+      {"log_softmax_rows", {{4, 5}}, [](const V& l) { return ops::log_softmax_rows(l[0]); }},
+      {"nll_loss_masked", {{5, 4}},
+       [](const V& l) {
+         return ops::nll_loss_masked(l[0], {0, 3, 1, 2, 3}, {1, 0, 1, 1, 1});
+       }},
+      {"hinge_margin_loss", {{6, 4}},
+       [](const V& l) {
+         return ops::hinge_margin_loss(l[0], {0, 1, 2, 3, 0, 1}, {1, 1, 0, 1, 1, 1}, false);
+       },
+       -1.0f, true},
+      {"hinge_margin_loss_targeted", {{6, 4}},
+       [](const V& l) {
+         return ops::hinge_margin_loss(l[0], {0, 1, 2, 3, 0, 1}, {}, true);
+       },
+       -1.0f, true},
+      {"smoothness_penalty", {{5, 3}},
+       [](const V& l) {
+         return ops::smoothness_penalty(l[0], {1, 2, 0, 3, 4, 1, 2, 0, 3, 1}, 2);
+       }},
+      {"bn_relu_eval", {{4, 3}, {3}, {3}},
+       [](const V& l) { return ops::bn_relu_eval(l[0], l[1], l[2], kMean, kVar); }},
+  };
+  return rows;
+}
+
+class ReplayContract : public ::testing::TestWithParam<OpRow> {};
+
+TEST_P(ReplayContract, ReplayMatchesFreshEagerBuild) {
+  const OpRow& row = GetParam();
+  std::vector<Tensor> leaves = make_leaves(row, 1, true);
+
+  plan::PlanBuilder builder;
+  const Tensor out = row.build(leaves);
+  Tensor loss = weighted_sum(out);
+  loss.backward();
+  plan::CompiledPlan compiled;
+  ASSERT_TRUE(builder.finish(compiled)) << "every op with a ForwardFn must be capturable";
+  const std::vector<std::int64_t> captured_state = out.impl()->ctx ? out.impl()->ctx->ibuf
+                                                                   : std::vector<std::int64_t>{};
+
+  for (std::uint64_t seed : {2u, 3u}) {
+    const std::vector<Tensor> fresh = make_leaves(row, seed, true);
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      std::copy_n(fresh[i].data(), fresh[i].numel(), leaves[i].data());
+    }
+    compiled.replay_forward();
+    compiled.replay_backward();
+    if (row.value_state && seed == 2u) {
+      EXPECT_NE(out.impl()->ctx->ibuf, captured_state)
+          << "the mutation must change the value-dependent saved state";
+    }
+
+    const Tensor eager_out = row.build(fresh);
+    Tensor eager_loss = weighted_sum(eager_out);
+    eager_loss.backward();
+    ASSERT_EQ(out.shape(), eager_out.shape());
+    EXPECT_TRUE(same_bytes(out.data(), eager_out.data(), out.numel())) << "seed " << seed;
+    EXPECT_TRUE(same_bytes(loss.data(), eager_loss.data(), 1)) << "seed " << seed;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      ASSERT_EQ(leaves[i].grad().size(), fresh[i].grad().size()) << "leaf " << i;
+      EXPECT_TRUE(same_bytes(leaves[i].grad().data(), fresh[i].grad().data(),
+                             static_cast<std::int64_t>(fresh[i].grad().size())))
+          << "leaf " << i << " gradient, seed " << seed;
+    }
+  }
+}
+
+TEST_P(ReplayContract, PredictModeNodeIsGraphFree) {
+  const OpRow& row = GetParam();
+  const Tensor out = row.build(make_leaves(row, 4, false));
+  EXPECT_FALSE(out.requires_grad());
+  EXPECT_TRUE(out.impl()->parents.empty());
+  EXPECT_EQ(out.impl()->ctx, nullptr);
+  EXPECT_EQ(out.impl()->forward_fn, nullptr);
+  EXPECT_EQ(out.impl()->backward_fn, nullptr);
+  // Same value as the grad-carrying build of the same inputs.
+  const Tensor with_grad = row.build(make_leaves(row, 4, true));
+  EXPECT_TRUE(same_bytes(out.data(), with_grad.data(), out.numel()));
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, ReplayContract, ::testing::ValuesIn(op_rows()),
+                         [](const auto& param_info) { return std::string(param_info.param.name); });
 
 // --- Engine byte-identity per model family --------------------------------
 

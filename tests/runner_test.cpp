@@ -9,11 +9,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pcss/obs/metrics.h"
@@ -82,6 +84,23 @@ TEST(RunnerJson, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(Json::parse("{\"a\":1,\"a\":2}"), std::runtime_error);
   EXPECT_THROW(Json::parse("nope"), std::runtime_error);
+}
+
+TEST(RunnerJson, IntegersAreWholeAndInRange) {
+  EXPECT_EQ(Json::parse("2147483647").integer<int>(), 2147483647);
+  EXPECT_EQ(Json::parse("-2147483648").integer<int>(), -2147483647 - 1);
+  EXPECT_THROW(Json::parse("2147483648").integer<int>(), std::runtime_error);
+  EXPECT_THROW(Json::parse("2.5").integer<int>(), std::runtime_error);
+  EXPECT_THROW(Json::parse("1e999").integer<long long>(), std::runtime_error);
+  EXPECT_THROW(Json::parse("9223372036854775808").integer<long long>(), std::runtime_error);
+  EXPECT_EQ(Json::parse("-9223372036854775808").integer<long long>(),
+            std::numeric_limits<long long>::min());
+  EXPECT_THROW(Json::parse("\"7\"").integer<int>(), std::runtime_error);
+  EXPECT_EQ(parse_u64("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_u64("0042"), 42u);
+  for (const char* bad : {"", "18446744073709551616", "-1", " 12", "12abc", "+5"}) {
+    EXPECT_THROW(parse_u64(bad), std::runtime_error) << "'" << bad << "'";
+  }
 }
 
 TEST(RunnerJson, NestingIsCappedAtMaxParseDepth) {
@@ -269,6 +288,67 @@ TEST_F(RunnerTest, CorruptCachedDocumentIsTreatedAsAMiss) {
   const RunOutcome repaired = run_spec(spec, provider, store, options);
   EXPECT_FALSE(repaired.cache_hit);
   EXPECT_EQ(repaired.json, first.json);
+}
+
+/// `json` with the value of the first `"key": ` member replaced by `value`
+/// (a scalar: the old value ends at the next ',' or newline).
+std::string with_value(std::string json, const std::string& key, const std::string& value) {
+  const std::string field = "\"" + key + "\": ";
+  const auto pos = json.find(field);
+  if (pos == std::string::npos) return "";
+  const auto start = pos + field.size();
+  json.replace(start, json.find_first_of(",\n", start) - start, value);
+  return json;
+}
+
+TEST_F(RunnerTest, OutOfRangeIntegersInStoredBytesAreMisses) {
+  // Integers a stored document or shard carries must be whole and fit
+  // their type (and seeds all digits). Anything else is unreadable bytes:
+  // the run recomputes and stores exactly what a fresh run writes.
+  TinyProvider provider;
+  ResultStore store(root_);
+  const RunOptions options = tiny_options();
+  const ExperimentSpec spec = mini_spec();
+  const RunOutcome first = run_spec(spec, provider, store, options);
+  const std::string doc_key = first.document.key + ".json";
+  const std::pair<const char*, const char*> doc_cases[] = {
+      {"scenes", "1e300"},          {"pgd_steps", "-1e19"},   {"scene_count", "2.5"},
+      {"total_steps", "1e30"},      {"steps", "-1e19"},       {"scene_seed", "\"-1\""},
+      {"scene_seed", "\" 4242\""}, {"scene_seed", "\"4242abc\""}};
+  for (const auto& [key, value] : doc_cases) {
+    const std::string mangled = with_value(first.json, key, value);
+    ASSERT_FALSE(mangled.empty()) << key;
+    store.put(doc_key, mangled);
+    const RunOutcome again = run_spec(spec, provider, store, options);
+    EXPECT_FALSE(again.cache_hit) << key << " = " << value;
+    EXPECT_EQ(again.json, first.json) << key << " = " << value;
+  }
+
+  // One bad shard per kind (the first one, which holds attack rows): the
+  // document is gone, so the run assembles from shards and must recompute
+  // the bad one instead of reading it.
+  const auto mangle_a_shard = [&](const ExperimentSpec& s, const RunOutcome& fresh,
+                                  const char* key, const char* value) {
+    std::string shard_key;
+    for (const std::string& k : store.list(fresh.document.key)) {
+      if (shard_key.empty() && k.rfind("shards/", 0) == 0) shard_key = k;
+    }
+    ASSERT_FALSE(shard_key.empty()) << s.name;
+    const std::string mangled = with_value(*store.get(shard_key), key, value);
+    ASSERT_FALSE(mangled.empty()) << s.name << " " << key;
+    store.put(shard_key, mangled);
+    ASSERT_TRUE(store.erase(fresh.document.key + ".json"));
+    const RunOutcome again = run_spec(s, provider, store, options);
+    EXPECT_FALSE(again.cache_hit);
+    EXPECT_GT(again.attack_steps, 0) << s.name << ": the bad shard must be recomputed";
+    EXPECT_EQ(again.json, fresh.json) << s.name << " " << key << " = " << value;
+  };
+  mangle_a_shard(spec, first, "steps", "1e30");
+  mangle_a_shard(spec, first, "steps", "-1e19");
+  const ExperimentSpec shared = mini_shared_spec();
+  mangle_a_shard(shared, run_spec(shared, provider, store, options), "steps_used", "1e30");
+  const ExperimentSpec grid = mini_grid_spec();
+  mangle_a_shard(grid, run_spec(grid, provider, store, options), "points_kept", "1e300");
 }
 
 TEST_F(RunnerTest, InterruptedRunResumesFromShardCache) {

@@ -178,7 +178,7 @@ TEST(Optim, LinearRegressionEndToEnd) {
     for (int i = 0; i < 8; ++i) ys[i] = 3.0f * xs[i * 2] - 2.0f * xs[i * 2 + 1] + 0.5f;
     Tensor x = Tensor::from_data({8, 2}, xs);
     Tensor t = Tensor::from_data({8, 1}, ys);
-    Tensor loss = ops::mean(ops::square(ops::sub(lin.forward(x), t)));
+    Tensor loss = ops::scale(ops::sum(ops::square(ops::sub(lin.forward(x), t))), 1.0f / 8.0f);
     opt.zero_grad();
     loss.backward();
     opt.step();
