@@ -718,6 +718,23 @@ void parallel_for(std::size_t jobs, int workers,
   pool.run(jobs, fn);
 }
 
+/// Why a step fell back from plan replay to eager execution.
+enum class Fallback {
+  kEpoch,         ///< the projection changed the graph (an L0 restore)
+  kUncapturable,  ///< the capture failed: an op in the graph has no forward rule
+};
+
+/// Counts one fallback under its reason and in the plan.fallbacks total.
+/// Telemetry only (D006).
+void count_fallback(Fallback reason) {
+  static obs::metrics::Counter& total = obs::metrics::counter("plan.fallbacks");
+  static obs::metrics::Counter& epoch = obs::metrics::counter("plan.fallbacks.epoch");
+  static obs::metrics::Counter& uncapturable =
+      obs::metrics::counter("plan.fallbacks.uncapturable");
+  total.add(1);
+  (reason == Fallback::kEpoch ? epoch : uncapturable).add(1);
+}
+
 std::string join_errors(const std::vector<std::string>& errors) {
   std::ostringstream os;
   os << "invalid AttackConfig:";
@@ -801,7 +818,6 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
   obs::metrics::Counter& steps_total = obs::metrics::counter("attack.steps");
   obs::metrics::Counter& plan_captures = obs::metrics::counter("plan.captures");
   obs::metrics::Counter& plan_replays = obs::metrics::counter("plan.replays");
-  obs::metrics::Counter& plan_fallbacks = obs::metrics::counter("plan.fallbacks");
   obs::trace::ScopedSpan cloud_span(kCloudSpan);
 
   Rng rng(seed);
@@ -843,7 +859,7 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
       // which re-captures below.
       plan.reset();
       plan_logits = Tensor();
-      plan_fallbacks.add(1);
+      count_fallback(Fallback::kEpoch);
     }
 
     // One step body for both modes. With a live plan the forward and
@@ -893,7 +909,7 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
         // Uncapturable op in the graph (training-mode statistics, fresh
         // RNG state): stay eager for the rest of this run.
         plan_enabled = false;
-        plan_fallbacks.add(1);
+        count_fallback(Fallback::kUncapturable);
       }
     }
     {
@@ -975,7 +991,6 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
   obs::metrics::Counter& shared_steps = obs::metrics::counter("attack.shared.steps");
   obs::metrics::Counter& plan_captures = obs::metrics::counter("plan.captures");
   obs::metrics::Counter& plan_replays = obs::metrics::counter("plan.replays");
-  obs::metrics::Counter& plan_fallbacks = obs::metrics::counter("plan.fallbacks");
   int step = 0;
   for (; step < config_.steps; ++step) {
     obs::trace::ScopedSpan round_span(kRoundSpan);
@@ -1013,7 +1028,7 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
           plan_captures.add(1);
         } else {
           plan_dead[ci] = 1;
-          plan_fallbacks.add(1);
+          count_fallback(Fallback::kUncapturable);
         }
       }
     });

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "pcss/models/model.h"
@@ -20,6 +19,15 @@ using pcss::tensor::Rng;
 /// uses k=16 and 28 blocks; this port defaults to k=12 and 5 blocks with
 /// the same block structure. Coordinates are normalized to [-1,1] and
 /// color to [0,1] (paper §V-A).
+///
+/// Block b maps h [N, C] to h + max_r ReLU(BN([h_i | h_j - h_i] W + b))
+/// over the k dilated neighbors j of i. The edge Linear runs as
+/// ops::edge_linear: with W = [W_a; W_b] it computes h_i (W_a - W_b) and
+/// h_j W_b on the N point rows and adds them per edge (DGCNN's EdgeConv
+/// factorization), so no [N*k, 2C] edge tensor exists. The parameters
+/// keep the plain Linear's names and layout (block<b>.lin0.weight is
+/// [2C, C], rows [W_a; W_b]), so a checkpoint computes the same
+/// function up to rounding.
 struct ResGCNConfig {
   int num_classes = 13;
   int k = 12;
@@ -43,9 +51,15 @@ class ResGCNSeg : public SegmentationModel {
   const ResGCNConfig& config() const { return config_; }
 
  private:
+  /// One residual block's edge Linear (2C -> C) and its BN.
+  struct Block {
+    pcss::tensor::nn::Linear lin0;
+    pcss::tensor::nn::BatchNorm1d bn0;
+  };
+
   ResGCNConfig config_;
   pcss::tensor::nn::Mlp stem_;
-  std::vector<std::unique_ptr<pcss::tensor::nn::Mlp>> block_mlps_;
+  std::vector<Block> blocks_;
   pcss::tensor::nn::Mlp head_;
   Rng dropout_rng_;
 };

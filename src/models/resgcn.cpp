@@ -18,9 +18,11 @@ ResGCNSeg::ResGCNSeg(ResGCNConfig config, Rng& rng)
       head_({config.channels, config.channels, config.num_classes}, rng,
             /*final_activation=*/false),
       dropout_rng_(config.dropout_seed) {
+  // Reserved up front: named_buffers() hands out pointers into the BNs.
+  blocks_.reserve(static_cast<size_t>(config_.blocks));
   for (int b = 0; b < config_.blocks; ++b) {
-    block_mlps_.push_back(std::make_unique<pcss::tensor::nn::Mlp>(
-        std::vector<std::int64_t>{2 * config_.channels, config_.channels}, rng));
+    blocks_.push_back({pcss::tensor::nn::Linear(2 * config_.channels, config_.channels, rng),
+                       pcss::tensor::nn::BatchNorm1d(config_.channels)});
   }
 }
 
@@ -42,10 +44,9 @@ Tensor ResGCNSeg::forward(const ModelInput& input, bool training) {
     const int dilation =
         std::min(1 + (b % config_.max_dilation), std::max(wide_k / k, 1));
     const auto idx = dilate_neighbors(wide_idx, n, k, dilation);
-    // Fused [x_i | x_j - x_i] edge assembly: one node instead of the
-    // gather/repeat/sub/concat chain and its three [N*k, *] temporaries.
-    Tensor edge = ops::edge_features(h, idx, k);
-    Tensor msg = block_mlps_[static_cast<size_t>(b)]->forward(edge, training);
+    Block& block = blocks_[static_cast<size_t>(b)];
+    Tensor edge = ops::edge_linear(h, block.lin0.weight(), block.lin0.bias(), idx, k);
+    Tensor msg = block.bn0.forward_relu(edge, training);
     h = ops::add(ops::segment_max(msg, k), h);  // residual
   }
   Tensor d = ops::dropout(h, config_.dropout, dropout_rng_, training);
@@ -55,8 +56,10 @@ Tensor ResGCNSeg::forward(const ModelInput& input, bool training) {
 std::vector<pcss::tensor::nn::NamedParam> ResGCNSeg::named_params() {
   std::vector<pcss::tensor::nn::NamedParam> out;
   stem_.collect_params("stem.", out);
-  for (size_t b = 0; b < block_mlps_.size(); ++b) {
-    block_mlps_[b]->collect_params("block" + std::to_string(b) + ".", out);
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    const std::string prefix = "block" + std::to_string(b) + ".";
+    blocks_[b].lin0.collect_params(prefix + "lin0.", out);
+    blocks_[b].bn0.collect_params(prefix + "bn0.", out);
   }
   head_.collect_params("head.", out);
   return out;
@@ -65,8 +68,8 @@ std::vector<pcss::tensor::nn::NamedParam> ResGCNSeg::named_params() {
 std::vector<pcss::tensor::nn::NamedBuffer> ResGCNSeg::named_buffers() {
   std::vector<pcss::tensor::nn::NamedBuffer> out;
   stem_.collect_buffers("stem.", out);
-  for (size_t b = 0; b < block_mlps_.size(); ++b) {
-    block_mlps_[b]->collect_buffers("block" + std::to_string(b) + ".", out);
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    blocks_[b].bn0.collect_buffers("block" + std::to_string(b) + ".bn0.", out);
   }
   head_.collect_buffers("head.", out);
   return out;

@@ -874,8 +874,8 @@ RunDocument document_from_json(const Json& j) {
   doc.scale.hiding_scenes = scale.at("hiding_scenes").integer<int>();
   doc.scale.pgd_steps = scale.at("pgd_steps").integer<int>();
   doc.scale.cw_steps = scale.at("cw_steps").integer<int>();
-  doc.scale.eps_color = static_cast<float>(scale.at("eps_color").number());
-  doc.scale.eps_coord = static_cast<float>(scale.at("eps_coord").number());
+  doc.scale.eps_color = scale.at("eps_color").float32();
+  doc.scale.eps_coord = scale.at("eps_coord").float32();
   doc.dataset = j.at("dataset").str();
   doc.scene_seed = parse_u64(j.at("scene_seed").str());
   doc.scene_count = j.at("scene_count").integer<int>();

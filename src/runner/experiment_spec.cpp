@@ -288,15 +288,15 @@ std::string canonical_description(const ExperimentSpec& spec, const Scale& scale
                                   ModelProvider& provider) {
   std::string out;
   append_kv(out, "spec", spec.name);
-  // Numerics revision. "lane8" marks the fixed 8-lane reduction order
-  // introduced with the SIMD dispatch layer: sums, row sums and softmax
-  // denominators reassociated, so documents produced before it are no
-  // longer byte-reproducible and their cache entries must miss. Bump
-  // this tag whenever kernel accumulation order changes again. (The
-  // dispatch path itself — scalar vs avx2 — is deliberately NOT part of
-  // the key: both paths produce identical bytes, so a store warmed under
-  // one ISA stays a 100% hit under the other.)
-  append_kv(out, "numerics", "lane8");
+  // Numerics revision: bump it whenever an accumulation order changes,
+  // so documents that are no longer byte-reproducible miss. History
+  // (DESIGN.md §5): "lane8" fixed the 8-lane reduction order of the SIMD
+  // layer; "edge_linear" factors ResGCN's edge Linear through the
+  // neighbor gather, reordering the block sums. (The dispatch path itself
+  // — scalar vs avx2 — is deliberately NOT part of the key: both paths
+  // produce identical bytes, so a store warmed under one ISA stays a 100%
+  // hit under the other.)
+  append_kv(out, "numerics", "edge_linear");
   // The kind tag is appended only for non-default kinds so that every
   // attack-table key (and its warm shard cache) from before the grid
   // kind existed stays valid byte-for-byte.

@@ -24,6 +24,14 @@ bool fits_integer(double value) {
          value == std::floor(value);
 }
 
+/// True when `value` is finite and inside float's range, so narrowing it to
+/// float is defined (it rounds); a NaN, an infinity or a magnitude above
+/// FLT_MAX would be undefined behavior, so stored floats are read through
+/// this check.
+inline bool fits_float(double value) {
+  return std::abs(value) <= static_cast<double>(std::numeric_limits<float>::max());
+}
+
 /// Parses a string of decimal digits only — how documents store 64-bit
 /// seeds, which a double cannot hold. Throws std::runtime_error on an
 /// empty string, a sign, space or any other non-digit, or a value above
@@ -67,8 +75,15 @@ class Json {
   template <typename T>
   T integer() const {
     const double value = number();
-    if (!fits_integer<T>(value)) integer_error(value);
+    if (!fits_integer<T>(value)) range_error(value, "an integer");
     return static_cast<T>(value);
+  }
+
+  /// number() as a float; throws std::runtime_error unless fits_float.
+  float float32() const {
+    const double value = number();
+    if (!fits_float(value)) range_error(value, "a float");
+    return static_cast<float>(value);
   }
 
   // -- array ----------------------------------------------------------------
@@ -104,7 +119,8 @@ class Json {
   static constexpr int kMaxParseDepth = 256;
 
  private:
-  [[noreturn]] static void integer_error(double value);
+  /// Throws "Json: <value> is not <expected> in range".
+  [[noreturn]] static void range_error(double value, const char* expected);
   void dump_to(std::string& out, int depth) const;
   void dump_compact_to(std::string& out) const;
 

@@ -229,10 +229,10 @@ double Json::number() const {
   return number_;
 }
 
-void Json::integer_error(double value) {
+void Json::range_error(double value, const char* expected) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
-  throw std::runtime_error(std::string("Json: ") + buf + " is not an integer in range");
+  throw std::runtime_error(std::string("Json: ") + buf + " is not " + expected + " in range");
 }
 
 std::uint64_t parse_u64(const std::string& digits) {

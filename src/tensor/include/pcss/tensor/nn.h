@@ -59,6 +59,9 @@ class Linear : public Module {
 
   std::int64_t in_features() const { return weight_.dim(0); }
   std::int64_t out_features() const { return weight_.dim(1); }
+  /// For ops that apply the layer in a fused form (ops::edge_linear).
+  const Tensor& weight() const { return weight_; }
+  const Tensor& bias() const { return bias_; }
 
  private:
   Tensor weight_;  ///< [in, out]

@@ -86,13 +86,16 @@ Tensor slice_cols(const Tensor& x, std::int64_t c0, std::int64_t c1);
 Tensor scatter_add_cols(const Tensor& base, const Tensor& delta, std::int64_t col0);
 
 // -- Fused model-block ops -----------------------------------------------------
-/// EdgeConv edge assembly in one node: for each point i and its r-th
-/// neighbor j = idx[i*k+r], row (i*k+r) is [x_i | x_j - x_i]. Forward and
-/// backward are bitwise-identical to the unfused
-/// concat_cols(repeat_rows(h, k), sub(gather_rows(h, idx), repeat_rows(h, k)))
-/// chain, built without the three intermediate [N*k, *] tensors.
-Tensor edge_features(const Tensor& h, const std::vector<std::int64_t>& idx,
-                     std::int64_t k);
+/// EdgeConv Linear in one node: for each point i and its r-th neighbor
+/// j = idx[i*k+r], row (i*k+r) is [h_i | h_j - h_i] * w + bias, with
+/// h [N, C], w = [w_a; w_b] [2C, M] and bias [M] (or undefined) -> [N*k, M].
+/// Computed as h_i * (w_a - w_b) + h_j * w_b: both products run on the
+/// N point rows, then one gather-add per edge row, so neither the
+/// [N*k, 2C] edge tensor nor an [N*k]-row GEMM exists. Equal to
+/// linear(concat_cols(repeat_rows(h, k), sub(gather_rows(h, idx),
+/// repeat_rows(h, k))), w, bias) up to rounding (the sums reorder).
+Tensor edge_linear(const Tensor& h, const Tensor& w, const Tensor& bias,
+                   const std::vector<std::int64_t>& idx, std::int64_t k);
 
 /// Grouped relative rows: out[i*k+r] = x[idx_a[i*k+r]] - x[idx_b[i]].
 /// Bitwise-identical to sub(gather_rows(x, idx_a),

@@ -144,12 +144,6 @@ struct Kernels {
                               const float* y, const float* x, const float* gamma,
                               const float* mean, const float* inv_std, std::int64_t n,
                               std::int64_t c);
-  /// EdgeConv assembly: row (i*k+r) of y is [h_i | h_j - h_i], j = idx[i*k+r].
-  void (*edge_features)(const float* h, const std::int64_t* idx, float* y,
-                        std::int64_t n, std::int64_t k, std::int64_t c);
-  /// Backward of edge_features (two-pass order mirrors the unfused chain).
-  void (*acc_edge_features_bw)(float* dh, const float* dy, const std::int64_t* idx,
-                               std::int64_t n, std::int64_t k, std::int64_t c);
 };
 
 /// True when this CPU can execute AVX2 instructions.

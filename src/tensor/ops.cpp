@@ -608,16 +608,63 @@ void bn_relu_eval_bw(TensorImpl& node) {
                                      pg->data.data(), mean, inv_std, n, c);
 }
 
-/// Mirrors concat(x_i, x_j - x_i) built from gather/repeat/sub/concat:
-/// the gather scatter runs first, then the per-center accumulation, in
-/// the same order the unfused chain's reverse-topo walk produces.
-void edge_features_bw(TensorImpl& node) {
+/// Backward of edge_linear. dP (per-center sum of dy over its k rows) and
+/// dQ (dy scatter-added by idx) reuse the forward's P/Q scratch; then
+/// dh += dP * w_d^T + dQ * w_b^T through packed transposes,
+/// dw_a += h^T * dP and dw_b += h^T * (dQ - dP), db = column sum of dy.
+/// ctx.fbuf layout: [w_d (c*m) | w_d^T (m*c) | w_b^T (m*c) | P (n*m) | Q (n*m)].
+void edge_linear_bw(TensorImpl& node) {
+  const simd::Kernels& K = simd::active();
   TensorImpl* ph = parent(node, 0);
-  if (!ph->requires_grad) return;
-  ph->ensure_grad();
-  simd::active().acc_edge_features_bw(ph->grad.data(), node.grad.data(),
-                                      node.ctx->ibuf.data(), ph->shape[0],
-                                      node.op_i0, ph->shape[1]);
+  TensorImpl* pw = parent(node, 1);
+  const std::int64_t n = ph->shape[0], c = ph->shape[1], m = node.shape[1];
+  const std::int64_t k = node.op_i0;
+  const float* dy = node.grad.data();
+  if (node.parents.size() > 2) {
+    TensorImpl* pbias = parent(node, 2);
+    if (pbias->requires_grad) {
+      pbias->ensure_grad();
+      K.acc_col_sum(pbias->grad.data(), dy, n * k, m);
+    }
+  }
+  if (!ph->requires_grad && !pw->requires_grad) return;
+  float* wdt = node.ctx->fbuf.data() + c * m;
+  float* wbt = wdt + m * c;
+  float* dp = wbt + m * c;
+  float* dq = dp + n * m;
+  const std::int64_t* idx = node.ctx->ibuf.data();
+  std::fill(dp, dp + 2 * n * m, 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t r = 0; r < k; ++r) {
+      const float* g = dy + (i * k + r) * m;
+      K.acc_add(dp + i * m, g, static_cast<size_t>(m));
+      K.acc_add(dq + idx[i * k + r] * m, g, static_cast<size_t>(m));
+    }
+  }
+  const float* h = ph->data.data();
+  const float* wd = node.ctx->fbuf.data();
+  const float* wb = pw->data.data() + c * m;
+  if (ph->requires_grad) {
+    ph->ensure_grad();
+    for (std::int64_t r = 0; r < c; ++r) {
+      for (std::int64_t t = 0; t < m; ++t) {
+        wdt[t * c + r] = wd[r * m + t];
+        wbt[t * c + r] = wb[r * m + t];
+      }
+    }
+    note_gemm(n, m, c);
+    K.gemm_nn(dp, wdt, ph->grad.data(), n, m, c);
+    note_gemm(n, m, c);
+    K.gemm_nn(dq, wbt, ph->grad.data(), n, m, c);
+  }
+  if (pw->requires_grad) {
+    pw->ensure_grad();
+    note_gemm(n, c, m);
+    K.gemm_at_b(h, dp, pw->grad.data(), n, c, m);
+    K.acc_axpy(dq, dp, -1.0f, static_cast<size_t>(n * m));
+    note_gemm(n, c, m);
+    K.gemm_at_b(h, dq, pw->grad.data() + c * m, n, c, m);
+  }
 }
 
 /// Mirrors sub(gather(x, idx_a), repeat(gather(x, idx_b), k)): the
@@ -896,11 +943,37 @@ void scatter_add_cols_fwd(TensorImpl& node) {
   }
 }
 
-void edge_features_fwd(TensorImpl& node) {
+void edge_linear_fwd(TensorImpl& node) {
+  // w_d = w_a - w_b is recomputed from the live weights on every forward,
+  // so a replay after a weight update stays exact.
+  const simd::Kernels& K = simd::active();
   TensorImpl* ph = parent(node, 0);
-  simd::active().edge_features(ph->data.data(), node.ctx->ibuf.data(),
-                               node.data.data(), ph->shape[0], node.op_i0,
-                               ph->shape[1]);
+  const std::int64_t n = ph->shape[0], c = ph->shape[1], m = node.shape[1];
+  const std::int64_t k = node.op_i0;
+  const float* h = ph->data.data();
+  const float* wa = parent(node, 1)->data.data();
+  const float* wb = wa + c * m;
+  float* wd = node.ctx->fbuf.data();
+  float* p = wd + 3 * c * m;
+  float* q = p + n * m;
+  K.ew_sub(wa, wb, wd, static_cast<size_t>(c * m));
+  note_gemm(n, c, m);
+  K.gemm_nn_init(h, wd, p, n, c, m);
+  note_gemm(n, c, m);
+  K.gemm_nn_init(h, wb, q, n, c, m);
+  const std::int64_t* idx = node.ctx->ibuf.data();
+  float* y = node.data.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* pi = p + i * m;
+    for (std::int64_t r = 0; r < k; ++r) {
+      const float* qj = q + idx[i * k + r] * m;
+      float* row = y + (i * k + r) * m;
+      for (std::int64_t t = 0; t < m; ++t) row[t] = pi[t] + qj[t];
+    }
+  }
+  if (node.parents.size() > 2) {
+    K.add_rowvec(y, parent(node, 2)->data.data(), y, n * k, m);
+  }
 }
 
 void gather_sub_rows_fwd(TensorImpl& node) {
@@ -1267,19 +1340,29 @@ Tensor scatter_add_cols(const Tensor& base, const Tensor& delta, std::int64_t co
 // Fused model-block ops
 // ---------------------------------------------------------------------------
 
-Tensor edge_features(const Tensor& h, const std::vector<std::int64_t>& idx,
-                     std::int64_t k) {
-  check_matrix(h, "edge_features");
-  const std::int64_t n = h.dim(0), c = h.dim(1);
+Tensor edge_linear(const Tensor& h, const Tensor& w, const Tensor& bias,
+                   const std::vector<std::int64_t>& idx, std::int64_t k) {
+  check_matrix(h, "edge_linear");
+  check_matrix(w, "edge_linear");
+  const std::int64_t n = h.dim(0), c = h.dim(1), m = w.dim(1);
+  check(w.dim(0) == 2 * c, "edge_linear: weight must be [2C, M] for h [N, C]");
   check(k > 0 && static_cast<std::int64_t>(idx.size()) == n * k,
-        "edge_features: idx must have N*k entries");
+        "edge_linear: idx must have N*k entries");
   for (const std::int64_t j : idx) {
-    if (j < 0 || j >= n) tensor_fail("edge_features: index out of range");
+    if (j < 0 || j >= n) tensor_fail("edge_linear: index out of range");
   }
+  std::vector<TensorImplPtr> parents{h.impl(), w.impl()};
+  if (bias.defined()) {
+    check(bias.numel() == m, "edge_linear: bias size must equal output width");
+    parents.push_back(bias.impl());
+  }
+  // Scratch sized here, so a replay takes no pool buffers; layout as in
+  // edge_linear_bw.
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf = idx;
-  return make_node({n * k, 2 * c}, {h.impl()}, edge_features_bw,
-                   {.i0 = k, .ctx = std::move(ctx), .fwd = edge_features_fwd});
+  ctx->fbuf = pool::acquire(static_cast<size_t>(3 * c * m + 2 * n * m));
+  return make_node({n * k, m}, std::move(parents), edge_linear_bw,
+                   {.i0 = k, .ctx = std::move(ctx), .fwd = edge_linear_fwd});
 }
 
 Tensor gather_sub_rows(const Tensor& x, const std::vector<std::int64_t>& idx_a,

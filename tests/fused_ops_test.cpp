@@ -1,9 +1,14 @@
 // Fused-vs-unfused bit-exactness: every fused op must produce exactly the
 // same forward values AND the same input gradients as the op composition
-// it replaces (the engine's determinism guarantees depend on it). Each op
-// also gets an independent finite-difference gradcheck.
+// it replaces (the engine's determinism guarantees depend on it). The one
+// exception is edge_linear, which factors a Linear through a gather and so
+// matches its composition up to rounding. Each op also gets an independent
+// finite-difference gradcheck.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
 #include <vector>
 
 #include "gradcheck.h"
@@ -93,23 +98,71 @@ TEST(FusedOps, BnReluEvalMatchesComposition) {
       {n, c}, random_values(n * c, rng, 0.3f, 1.5f));
 }
 
-TEST(FusedOps, EdgeFeaturesMatchesGatherRepeatSubConcat) {
+/// Largest |a - b| relative to max(1, |b|), over every element.
+float max_rel_diff(const float* a, const float* b, size_t n) {
+  float worst = 0.0f;
+  for (size_t i = 0; i < n; ++i) {
+    worst = std::max(worst, std::abs(a[i] - b[i]) / std::max(1.0f, std::abs(b[i])));
+  }
+  return worst;
+}
+
+// edge_linear reorders the sums of the Linear it fuses (the product runs
+// on point rows, not edge rows), so it matches the unfused edge assembly
+// followed by linear up to rounding, not bit for bit.
+TEST(FusedOps, EdgeLinearMatchesEdgeAssemblyThenLinear) {
   Rng rng(107);
-  const std::int64_t n = 6, c = 4, k = 3;
+  const std::int64_t n = 6, c = 4, k = 3, m = 5;
   const std::vector<std::int64_t> idx{1, 2, 3, 0, 4, 5, 5, 1, 0,
                                       2, 3, 4, 0, 5, 2, 3, 1, 4};
-  const auto hv = random_values(n * c, rng);
-  Tensor h1 = leaf({n, c}, hv);
-  Tensor h2 = leaf({n, c}, hv);
-  Tensor fused = ops::edge_features(h1, idx, k);
-  Tensor x_j = ops::gather_rows(h2, idx);
-  Tensor x_i = ops::repeat_rows(h2, k);
-  Tensor unfused = ops::concat_cols(x_i, ops::sub(x_j, x_i));
-  backward_and_compare(fused, unfused, {{h1, h2}});
+  const auto hv = random_values(n * c, rng), wv = random_values(2 * c * m, rng),
+             bv = random_values(m, rng);
+  const auto gv = random_values(n * k * m, rng);
+  for (const bool with_bias : {true, false}) {
+    Tensor h1 = leaf({n, c}, hv), w1 = leaf({2 * c, m}, wv), b1 = leaf({m}, bv);
+    Tensor h2 = leaf({n, c}, hv), w2 = leaf({2 * c, m}, wv), b2 = leaf({m}, bv);
+    Tensor fused = ops::edge_linear(h1, w1, with_bias ? b1 : Tensor(), idx, k);
+    Tensor x_i = ops::repeat_rows(h2, k);
+    Tensor edge = ops::concat_cols(x_i, ops::sub(ops::gather_rows(h2, idx), x_i));
+    Tensor unfused = ops::linear(edge, w2, with_bias ? b2 : Tensor());
+    ASSERT_EQ(fused.shape(), unfused.shape());
+    EXPECT_LT(max_rel_diff(fused.data(), unfused.data(), static_cast<size_t>(fused.numel())),
+              1e-5f);
+    // A weighted sum, so every output element reaches the grads with its
+    // own factor.
+    const Tensor g = Tensor::from_data({n * k, m}, gv);
+    ops::sum(ops::mul(fused, g)).backward();
+    ops::sum(ops::mul(unfused, g)).backward();
+    std::vector<std::pair<Tensor, Tensor>> pairs{{h1, h2}, {w1, w2}};
+    if (with_bias) pairs.push_back({b1, b2});
+    for (const auto& [f, u] : pairs) {
+      ASSERT_EQ(f.grad().size(), u.grad().size());
+      EXPECT_LT(max_rel_diff(f.grad().data(), u.grad().data(), f.grad().size()), 1e-5f)
+          << "with_bias=" << with_bias;
+    }
+    if (!with_bias) {
+      EXPECT_TRUE(b1.grad().empty());
+    }
+  }
 
+  const Tensor wg = Tensor::from_data({2 * c, m}, wv);
+  const Tensor bg = Tensor::from_data({m}, bv);
+  const Tensor hg = Tensor::from_data({n, c}, hv);
   expect_gradcheck(
-      [&](const Tensor& h) { return ops::sum(ops::square(ops::edge_features(h, idx, k))); },
-      {n, c}, random_values(n * c, rng));
+      [&](const Tensor& h) {
+        return ops::sum(ops::square(ops::edge_linear(h, wg, bg, idx, k)));
+      },
+      {n, c}, hv);
+  expect_gradcheck(
+      [&](const Tensor& w) {
+        return ops::sum(ops::square(ops::edge_linear(hg, w, bg, idx, k)));
+      },
+      {2 * c, m}, wv);
+  expect_gradcheck(
+      [&](const Tensor& b) {
+        return ops::sum(ops::square(ops::edge_linear(hg, wg, b, idx, k)));
+      },
+      {m}, bv);
 }
 
 TEST(FusedOps, GatherSubRowsMatchesGatherRepeatSub) {

@@ -92,7 +92,9 @@ TEST(TensorExtras, HostileIndicesThrowBeforeTheForwardReads) {
     EXPECT_THROW(ops::weighted_gather_rows(x, {0, bad}, {1.0f, 1.0f}, 2), std::runtime_error);
     EXPECT_THROW(ops::gather_sub_rows(x, {0, bad}, {1}, 2), std::runtime_error);
     EXPECT_THROW(ops::gather_sub_rows(x, {0, 1}, {bad}, 2), std::runtime_error);
-    EXPECT_THROW(ops::edge_features(x, {0, 1, 2, 3, 0, 1, 2, bad}, 2), std::runtime_error);
+    EXPECT_THROW(ops::edge_linear(x, Tensor::zeros({6, 2}), Tensor::zeros({2}),
+                                  {0, 1, 2, 3, 0, 1, 2, bad}, 2),
+                 std::runtime_error);
     EXPECT_THROW(ops::smoothness_penalty(x, {1, 2, 3, bad}, 1), std::runtime_error);
     EXPECT_THROW(ops::scatter_rows(Tensor::zeros({2, 3}), {0, bad}, 4,
                                    std::vector<float>(12, 0.0f)),

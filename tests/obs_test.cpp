@@ -10,9 +10,11 @@
 #include <array>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pcss/data/indoor.h"
@@ -273,6 +275,20 @@ TEST_F(TraceTest, DocumentsAreByteIdenticalWithTracingOnOrOff) {
   fs::remove_all(root + "-mt");
 }
 
+/// Runs the pcss_trace binary on `path`: exit status and stdout+stderr.
+std::pair<int, std::string> run_pcss_trace(const std::string& path) {
+  const std::string cmd = std::string(PCSS_TRACE_BIN) + " " + path + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return {-1, "popen failed"};
+  std::string output;
+  std::array<char, 4096> buffer;
+  while (std::fgets(buffer.data(), static_cast<int>(buffer.size()), pipe) != nullptr) {
+    output += buffer.data();
+  }
+  const int status = pclose(pipe);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, output};
+}
+
 TEST_F(TraceTest, PcssTraceSummarizesARealTrace) {
   trace::clear();
   trace::set_enabled(true);
@@ -290,20 +306,38 @@ TEST_F(TraceTest, PcssTraceSummarizesARealTrace) {
       (fs::temp_directory_path() / "pcss_obs_test_trace.json").string();
   ASSERT_TRUE(trace::write_chrome_json(path));
 
-  const std::string cmd = std::string(PCSS_TRACE_BIN) + " " + path + " 2>&1";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  std::array<char, 4096> buffer;
-  while (std::fgets(buffer.data(), static_cast<int>(buffer.size()), pipe) != nullptr) {
-    output += buffer.data();
-  }
-  const int status = pclose(pipe);
-  EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 0) << output;
+  const auto [status, output] = run_pcss_trace(path);
+  EXPECT_EQ(status, 0) << output;
   EXPECT_NE(output.find("top spans by self-time"), std::string::npos) << output;
   EXPECT_NE(output.find("shard timeline (3 shards)"), std::string::npos) << output;
   EXPECT_NE(output.find("cache"), std::string::npos) << output;
   EXPECT_NE(output.find("worker utilization"), std::string::npos) << output;
+  fs::remove(path);
+}
+
+TEST(PcssTrace, HostileIntegersFailNamingTheField) {
+  // Integer fields outside long long's range, or fractional, would be
+  // undefined casts; each must fail with the field's name instead of
+  // printing a wrapped value.
+  const std::string path =
+      (fs::temp_directory_path() / "pcss_obs_test_hostile_trace.json").string();
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("tid": 1e300, "args": {})", "'tid'"},
+      {R"("tid": -1e19, "args": {})", "'tid'"},
+      {R"("tid": 1.5, "args": {})", "'tid'"},
+      {R"("tid": 1, "args": {"cache_hit": 1e300})", "'args.cache_hit'"},
+      {R"("tid": 1, "args": {"step": -1e300})", "'args.step'"}};
+  for (const auto& [fields, name] : cases) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << R"({"traceEvents": [{"name": "runner.shard", "ph": "X", "ts": 0, "dur": 5, )"
+          << fields << "}]}";
+    }
+    const auto [status, output] = run_pcss_trace(path);
+    EXPECT_EQ(status, 1) << fields << ": " << output;
+    EXPECT_NE(output.find(name), std::string::npos) << fields << ": " << output;
+    EXPECT_EQ(output.find("-9223372036854775808"), std::string::npos) << output;
+  }
   fs::remove(path);
 }
 

@@ -36,21 +36,25 @@ namespace plan = pcss::tensor::plan;
 
 namespace {
 
+std::uint64_t counter_value(const char* name) {
+  return pcss::obs::metrics::counter(name).value();
+}
+
 /// Process-global counter deltas around one scope.
 struct PlanCounters {
-  std::uint64_t captures0, replays0, fallbacks0;
-  PlanCounters()
-      : captures0(pcss::obs::metrics::counter("plan.captures").value()),
-        replays0(pcss::obs::metrics::counter("plan.replays").value()),
-        fallbacks0(pcss::obs::metrics::counter("plan.fallbacks").value()) {}
-  std::uint64_t captures() const {
-    return pcss::obs::metrics::counter("plan.captures").value() - captures0;
-  }
-  std::uint64_t replays() const {
-    return pcss::obs::metrics::counter("plan.replays").value() - replays0;
-  }
-  std::uint64_t fallbacks() const {
-    return pcss::obs::metrics::counter("plan.fallbacks").value() - fallbacks0;
+  std::uint64_t captures0 = counter_value("plan.captures");
+  std::uint64_t replays0 = counter_value("plan.replays");
+  std::uint64_t fallbacks0 = counter_value("plan.fallbacks");
+  std::uint64_t epoch0 = counter_value("plan.fallbacks.epoch");
+  std::uint64_t uncapturable0 = counter_value("plan.fallbacks.uncapturable");
+  std::uint64_t captures() const { return counter_value("plan.captures") - captures0; }
+  std::uint64_t replays() const { return counter_value("plan.replays") - replays0; }
+  std::uint64_t fallbacks() const { return counter_value("plan.fallbacks") - fallbacks0; }
+  /// Fallbacks because the projection changed the graph (an L0 restore).
+  std::uint64_t epoch() const { return counter_value("plan.fallbacks.epoch") - epoch0; }
+  /// Fallbacks because the capture failed.
+  std::uint64_t uncapturable() const {
+    return counter_value("plan.fallbacks.uncapturable") - uncapturable0;
   }
 };
 
@@ -266,8 +270,14 @@ const std::vector<OpRow>& op_rows() {
       {"slice_cols", {{4, 5}}, [](const V& l) { return ops::slice_cols(l[0], 1, 4); }},
       {"scatter_add_cols", {{4, 5}, {4, 2}},
        [](const V& l) { return ops::scatter_add_cols(l[0], l[1], 2); }},
-      {"edge_features", {{4, 3}},
-       [](const V& l) { return ops::edge_features(l[0], {1, 2, 0, 3, 3, 1, 2, 0}, 2); }},
+      {"edge_linear", {{4, 3}, {6, 2}, {2}},
+       [](const V& l) {
+         return ops::edge_linear(l[0], l[1], l[2], {1, 2, 0, 3, 3, 1, 2, 0}, 2);
+       }},
+      {"edge_linear_no_bias", {{4, 3}, {6, 2}},
+       [](const V& l) {
+         return ops::edge_linear(l[0], l[1], Tensor(), {1, 2, 0, 3, 3, 1, 2, 0}, 2);
+       }},
       {"gather_sub_rows", {{5, 3}},
        [](const V& l) {
          return ops::gather_sub_rows(l[0], {1, 2, 0, 4, 3, 3}, {0, 2, 4}, 2);
@@ -495,6 +505,72 @@ TEST(PlanEngine, SharedDeltaReplayMatchesEager) {
   }
   EXPECT_EQ(planned.accuracy_before, eager.accuracy_before);
   EXPECT_EQ(planned.accuracy_after, eager.accuracy_after);
+}
+
+/// A model whose eval forward ends in a training-mode dropout: the op has
+/// no forward rule, so every capture of its graph fails.
+class UncapturableModel : public SegmentationModel {
+ public:
+  explicit UncapturableModel(Rng& rng) : inner_(make_model(Family::kResGCN, rng)) {}
+  std::string name() const override { return "Uncapturable"; }
+  int num_classes() const override { return inner_->num_classes(); }
+  Tensor forward(const pcss::models::ModelInput& input, bool training) override {
+    return ops::dropout(inner_->forward(input, training), 0.1f, dropout_rng_,
+                        /*training=*/true);
+  }
+  std::vector<pcss::tensor::nn::NamedParam> named_params() override {
+    return inner_->named_params();
+  }
+  std::vector<pcss::tensor::nn::NamedBuffer> named_buffers() override {
+    return inner_->named_buffers();
+  }
+
+ private:
+  std::unique_ptr<SegmentationModel> inner_;
+  Rng dropout_rng_{5};
+};
+
+TEST(PlanEngine, FallbacksAreCountedByReason) {
+  Rng rng(29);
+  const PointCloud cloud = tiny_scene();
+  AttackConfig config;
+  config.field = AttackField::kColor;
+  config.norm = AttackNorm::kBounded;
+  config.steps = 8;
+  {
+    // L0 restores bump the projection's plan epoch.
+    auto model = make_model(Family::kResGCN, rng);
+    AttackConfig l0 = config;
+    l0.l0_on_color = true;
+    l0.min_impact_fraction = 0.25f;
+    AttackEngine engine(*model, l0);
+    PlanCounters counters;
+    (void)engine.run(cloud, plan_on());
+    EXPECT_GE(counters.epoch(), 1u);
+    EXPECT_EQ(counters.uncapturable(), 0u);
+    EXPECT_EQ(counters.fallbacks(), counters.epoch());
+  }
+  {
+    // A failed capture is counted once per run, which then stays eager,
+    // and once per cloud in run_shared.
+    UncapturableModel model(rng);
+    AttackEngine engine(model, config);
+    PlanCounters counters;
+    (void)engine.run(cloud, plan_on());
+    EXPECT_EQ(counters.uncapturable(), 1u);
+    EXPECT_EQ(counters.epoch(), 0u);
+    EXPECT_EQ(counters.fallbacks(), 1u);
+    EXPECT_EQ(counters.captures(), 0u);
+    EXPECT_EQ(counters.replays(), 0u);
+
+    PlanCounters shared;
+    // One thread: the model's dropout RNG is shared mutable state.
+    const std::vector<PointCloud> clouds{cloud, tiny_scene(96, 43)};
+    (void)engine.run_shared(clouds, {1, true, {}});
+    EXPECT_EQ(shared.uncapturable(), 2u);
+    EXPECT_EQ(shared.fallbacks(), 2u);
+    EXPECT_EQ(shared.replays(), 0u);
+  }
 }
 
 }  // namespace

@@ -103,6 +103,17 @@ TEST(RunnerJson, IntegersAreWholeAndInRange) {
   }
 }
 
+TEST(RunnerJson, FloatsAreFiniteAndInRange) {
+  EXPECT_EQ(Json::parse("0.25").float32(), 0.25f);
+  EXPECT_EQ(Json::parse("3.4028234663852886e38").float32(),
+            std::numeric_limits<float>::max());
+  EXPECT_EQ(Json::parse("-3.4028234663852886e38").float32(),
+            -std::numeric_limits<float>::max());
+  for (const char* bad : {"1e39", "-1e39", "1e300", "-1e300", "1e999", "\"0.5\""}) {
+    EXPECT_THROW(Json::parse(bad).float32(), std::runtime_error) << bad;
+  }
+}
+
 TEST(RunnerJson, NestingIsCappedAtMaxParseDepth) {
   const auto nested_arrays = [](int depth) {
     return std::string(static_cast<size_t>(depth), '[') +
@@ -303,8 +314,9 @@ std::string with_value(std::string json, const std::string& key, const std::stri
 
 TEST_F(RunnerTest, OutOfRangeIntegersInStoredBytesAreMisses) {
   // Integers a stored document or shard carries must be whole and fit
-  // their type (and seeds all digits). Anything else is unreadable bytes:
-  // the run recomputes and stores exactly what a fresh run writes.
+  // their type (and seeds all digits), and its float epsilons must be
+  // finite floats. Anything else is unreadable bytes: the run recomputes
+  // and stores exactly what a fresh run writes.
   TinyProvider provider;
   ResultStore store(root_);
   const RunOptions options = tiny_options();
@@ -314,7 +326,8 @@ TEST_F(RunnerTest, OutOfRangeIntegersInStoredBytesAreMisses) {
   const std::pair<const char*, const char*> doc_cases[] = {
       {"scenes", "1e300"},          {"pgd_steps", "-1e19"},   {"scene_count", "2.5"},
       {"total_steps", "1e30"},      {"steps", "-1e19"},       {"scene_seed", "\"-1\""},
-      {"scene_seed", "\" 4242\""}, {"scene_seed", "\"4242abc\""}};
+      {"scene_seed", "\" 4242\""}, {"scene_seed", "\"4242abc\""}, {"eps_color", "1e300"},
+      {"eps_color", "-1e300"},      {"eps_coord", "1e39"}};
   for (const auto& [key, value] : doc_cases) {
     const std::string mangled = with_value(first.json, key, value);
     ASSERT_FALSE(mangled.empty()) << key;

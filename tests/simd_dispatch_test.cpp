@@ -372,21 +372,6 @@ TEST(SimdBitExact, FusedModelBlocks) {
                           gamma.data(), mean.data(), inv_std.data(), n, c);
     EXPECT_TRUE(bytes_equal(dxs.data(), dxa.data(), dxs.size()))
         << "bnre_bw dx-only c=" << c;
-    // Edge features over every channel tail.
-    const std::int64_t en = 5, ek = 3;
-    const auto h = test_values(static_cast<size_t>(en * c), 28);
-    const auto eg = test_values(static_cast<size_t>(en * ek * 2 * c), 29);
-    std::vector<std::int64_t> idx(static_cast<size_t>(en * ek));
-    for (size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<std::int64_t>((i * 2 + 1) % en);
-    std::vector<float> es(static_cast<size_t>(en * ek * 2 * c)), ea(es);
-    S.edge_features(h.data(), idx.data(), es.data(), en, ek, c);
-    A.edge_features(h.data(), idx.data(), ea.data(), en, ek, c);
-    EXPECT_TRUE(bytes_equal(es.data(), ea.data(), es.size())) << "edge_features c=" << c;
-    std::vector<float> dhs(static_cast<size_t>(en * c), 0.4f), dha(dhs);
-    S.acc_edge_features_bw(dhs.data(), eg.data(), idx.data(), en, ek, c);
-    A.acc_edge_features_bw(dha.data(), eg.data(), idx.data(), en, ek, c);
-    EXPECT_TRUE(bytes_equal(dhs.data(), dha.data(), dhs.size()))
-        << "acc_edge_features_bw c=" << c;
   }
 }
 

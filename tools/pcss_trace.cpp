@@ -40,6 +40,16 @@ struct Span {
   long long step = -1;
 };
 
+/// A trace event's integer field; a value that is not a whole number in
+/// long long's range fails with a message naming the field.
+long long integer_field(const Json& value, const char* field) {
+  try {
+    return value.integer<long long>();
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(std::string("trace event field '") + field + "': " + e.what());
+  }
+}
+
 std::vector<Span> load_spans(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open trace file '" + path + "'");
@@ -54,16 +64,14 @@ std::vector<Span> load_spans(const std::string& path) {
     if (ph == nullptr || ph->str() != "X") continue;  // only complete events
     Span s;
     s.name = e.at("name").str();
-    s.tid = static_cast<long long>(e.at("tid").number());
+    s.tid = integer_field(e.at("tid"), "tid");
     s.ts = e.at("ts").number();
     s.dur = e.at("dur").number();
     if (const Json* args = e.find("args")) {
       if (const Json* hit = args->find("cache_hit")) {
-        s.cache_hit = static_cast<long long>(hit->number());
+        s.cache_hit = integer_field(*hit, "args.cache_hit");
       }
-      if (const Json* step = args->find("step")) {
-        s.step = static_cast<long long>(step->number());
-      }
+      if (const Json* step = args->find("step")) s.step = integer_field(*step, "args.step");
     }
     spans.push_back(std::move(s));
   }
