@@ -74,6 +74,11 @@ AssembledInput assemble_input(const ModelInput& input, CoordConvention conventio
     }
   }
   Tensor features = Tensor::from_buffer({n, f}, std::move(base));
+  // A color delta only touches columns 3..5, so without a coordinate delta
+  // the positions are sliced before it is spliced in: same values, but no
+  // gradient, so a color attack's backward skips the relative-position
+  // branches (LocSE, grouping offsets) whose gradient nothing reads.
+  const Tensor unperturbed = features;
 
   // Splice the perturbations in. Color is 1:1; coordinates are scaled by
   // the same affine map as the base block (constants, so gradients are
@@ -104,7 +109,7 @@ AssembledInput assemble_input(const ModelInput& input, CoordConvention conventio
 
   AssembledInput out;
   out.features = features;
-  out.positions = ops::slice_cols(features, 0, 3);
+  out.positions = ops::slice_cols(input.coord_delta.defined() ? features : unperturbed, 0, 3);
   out.feature_count = f;
   out.graph_positions.resize(static_cast<size_t>(n));
   const float* pd = out.positions.data();

@@ -23,7 +23,8 @@ enum class CoordConvention {
 ///  * `features`   — [N, F] autograd tensor with deltas spliced in,
 ///  * `positions`  — [N, 3] autograd view of the normalized coordinates
 ///                   (column slice of `features`), used for relative-
-///                   position encodings so coordinate gradients flow,
+///                   position encodings so coordinate gradients flow; it
+///                   carries a gradient only when a coordinate delta is set,
 ///  * `graph_positions` — plain values of the normalized, perturbed
 ///                   coordinates, used to (re)build kNN/FPS structures.
 ///

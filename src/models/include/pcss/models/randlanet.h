@@ -14,7 +14,8 @@ using pcss::tensor::Rng;
 /// CPU-scaled RandLA-Net segmentation (paper target #3).
 ///
 /// Random-sampling encoder ladder with Local Spatial Encoding (LocSE:
-/// [p_i | p_j | p_i - p_j | dist]) and attentive pooling, nearest-neighbor
+/// [p_i | p_j | p_i - p_j | dist]) and attentive pooling (one fused
+/// ops::attentive_pool per block), nearest-neighbor
 /// decoder with skip connections. Input coordinates are recentered and
 /// color kept in [0,1]; the input cloud is regenerated through a random
 /// permutation, mirroring RandLA-Net's duplicate/select step (at fixed
@@ -46,11 +47,15 @@ class RandLANetSeg : public SegmentationModel {
   const RandLANetConfig& config() const { return config_; }
 
  private:
-  /// LocSE + attentive pooling block parameters.
+  /// LocSE + attentive pooling block parameters. The shared MLP is one
+  /// Linear + BN + ReLU; its Linear runs as ops::neighbor_linear, and its
+  /// parameters keep the one-layer Mlp's names and layout
+  /// (lfa<b>.shared.lin0.weight is [cmid+cin, cout], rows [W_pe; W_f]).
   struct Lfa {
-    std::unique_ptr<pcss::tensor::nn::Mlp> pos_mlp;     // 10 -> cmid
-    std::unique_ptr<pcss::tensor::nn::Mlp> shared_mlp;  // cmid+cin -> cout
-    std::unique_ptr<pcss::tensor::nn::Linear> score;    // cout -> cout
+    std::unique_ptr<pcss::tensor::nn::Mlp> pos_mlp;            // 10 -> cmid
+    std::unique_ptr<pcss::tensor::nn::Linear> shared;          // cmid+cin -> cout
+    std::unique_ptr<pcss::tensor::nn::BatchNorm1d> shared_bn;  // cout
+    std::unique_ptr<pcss::tensor::nn::Linear> score;           // cout -> cout
   };
 
   Tensor apply_lfa(const Lfa& lfa, const Tensor& feats, const Tensor& pos_tensor,

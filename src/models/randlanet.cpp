@@ -16,6 +16,8 @@ using pcss::pointcloud::duplicate_or_select;
 using pcss::pointcloud::knn_self;
 using pcss::pointcloud::random_sample;
 using pcss::tensor::Tensor;
+using pcss::tensor::nn::BatchNorm1d;
+using pcss::tensor::nn::Linear;
 
 namespace {
 
@@ -31,13 +33,15 @@ RandLANetSeg::RandLANetSeg(RandLANetConfig config, Rng& rng)
       dec2_({config.c3 + config.c3, config.c2}, rng),
       dec1_({config.c2 + config.c2, config.c2}, rng),
       head_({config.c2, config.c2, config.num_classes}, rng, /*final_activation=*/false) {
-  const std::int64_t cmid = config_.c1;
-  lfa1_ = {make_mlp({10, cmid}, rng), make_mlp({cmid + config_.c1, config_.c2}, rng),
-           std::make_unique<pcss::tensor::nn::Linear>(config_.c2, config_.c2, rng)};
-  lfa2_ = {make_mlp({10, cmid}, rng), make_mlp({cmid + config_.c2, config_.c3}, rng),
-           std::make_unique<pcss::tensor::nn::Linear>(config_.c3, config_.c3, rng)};
-  lfa3_ = {make_mlp({10, cmid}, rng), make_mlp({cmid + config_.c3, config_.c3}, rng),
-           std::make_unique<pcss::tensor::nn::Linear>(config_.c3, config_.c3, rng)};
+  // Braced lists evaluate left to right: the init draws run pos, shared,
+  // score, as when shared was a one-layer Mlp.
+  const auto make_lfa = [&rng, cmid = config_.c1](std::int64_t cin, std::int64_t cout) {
+    return Lfa{make_mlp({10, cmid}, rng), std::make_unique<Linear>(cmid + cin, cout, rng),
+               std::make_unique<BatchNorm1d>(cout), std::make_unique<Linear>(cout, cout, rng)};
+  };
+  lfa1_ = make_lfa(config_.c1, config_.c2);
+  lfa2_ = make_lfa(config_.c2, config_.c3);
+  lfa3_ = make_lfa(config_.c3, config_.c3);
 }
 
 Tensor RandLANetSeg::apply_lfa(const Lfa& lfa, const Tensor& feats, const Tensor& pos_tensor,
@@ -55,11 +59,12 @@ Tensor RandLANetSeg::apply_lfa(const Lfa& lfa, const Tensor& feats, const Tensor
   Tensor locse = ops::concat_cols4(p_i, p_j, diff, dist);
   Tensor pe = lfa.pos_mlp->forward(locse, training);
 
-  Tensor f_j = ops::gather_rows(feats, idx);
-  Tensor g = lfa.shared_mlp->forward(ops::concat_cols(pe, f_j), training);
+  // Shared MLP on [pe | f_j], its Linear applied through the gather.
+  Tensor g = lfa.shared_bn->forward_relu(
+      ops::neighbor_linear(pe, feats, lfa.shared->weight(), lfa.shared->bias(), idx),
+      training);
   // Attentive pooling: per-channel softmax over the k neighbors.
-  Tensor att = ops::segment_softmax(lfa.score->forward(g), k);
-  return ops::segment_sum(ops::mul(g, att), k);
+  return ops::attentive_pool(g, lfa.score->forward(g), k);
 }
 
 Tensor RandLANetSeg::forward(const ModelInput& input, bool training) {
@@ -125,7 +130,8 @@ std::vector<pcss::tensor::nn::NamedParam> RandLANetSeg::named_params() {
   stem_.collect_params("stem.", out);
   auto add_lfa = [&out](Lfa& lfa, const std::string& prefix) {
     lfa.pos_mlp->collect_params(prefix + "pos.", out);
-    lfa.shared_mlp->collect_params(prefix + "shared.", out);
+    lfa.shared->collect_params(prefix + "shared.lin0.", out);
+    lfa.shared_bn->collect_params(prefix + "shared.bn0.", out);
     lfa.score->collect_params(prefix + "score.", out);
   };
   add_lfa(lfa1_, "lfa1.");
@@ -142,7 +148,7 @@ std::vector<pcss::tensor::nn::NamedBuffer> RandLANetSeg::named_buffers() {
   stem_.collect_buffers("stem.", out);
   auto add_lfa = [&out](Lfa& lfa, const std::string& prefix) {
     lfa.pos_mlp->collect_buffers(prefix + "pos.", out);
-    lfa.shared_mlp->collect_buffers(prefix + "shared.", out);
+    lfa.shared_bn->collect_buffers(prefix + "shared.bn0.", out);
   };
   add_lfa(lfa1_, "lfa1.");
   add_lfa(lfa2_, "lfa2.");

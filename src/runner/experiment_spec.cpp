@@ -292,11 +292,14 @@ std::string canonical_description(const ExperimentSpec& spec, const Scale& scale
   // so documents that are no longer byte-reproducible miss. History
   // (DESIGN.md §5): "lane8" fixed the 8-lane reduction order of the SIMD
   // layer; "edge_linear" factors ResGCN's edge Linear through the
-  // neighbor gather, reordering the block sums. (The dispatch path itself
+  // neighbor gather, reordering the block sums; "attentive_pool" fuses
+  // RandLA-Net's attentive pooling, factors its LFA shared Linear through
+  // the gather and moves the softmax exp from libm to an in-source
+  // polynomial (PCT's softmax too). (The dispatch path itself
   // — scalar vs avx2 — is deliberately NOT part of the key: both paths
   // produce identical bytes, so a store warmed under one ISA stays a 100%
   // hit under the other.)
-  append_kv(out, "numerics", "edge_linear");
+  append_kv(out, "numerics", "attentive_pool");
   // The kind tag is appended only for non-default kinds so that every
   // attack-table key (and its warm shard cache) from before the grid
   // kind existed stays valid byte-for-byte.

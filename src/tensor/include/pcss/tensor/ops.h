@@ -97,6 +97,23 @@ Tensor scatter_add_cols(const Tensor& base, const Tensor& delta, std::int64_t co
 Tensor edge_linear(const Tensor& h, const Tensor& w, const Tensor& bias,
                    const std::vector<std::int64_t>& idx, std::int64_t k);
 
+/// Linear over rows that pair a per-row part with a gathered per-point
+/// part: row e is [x_e | h_{idx[e]}] * w + bias, with x [E, Cx], h [N, Ch],
+/// w = [w_x; w_h] [Cx + Ch, M] and bias [M] (or undefined) -> [E, M].
+/// Computed as (x * w_x + (h * w_h)[idx]) + bias: the h product runs on the
+/// N point rows, so neither the [E, Cx + Ch] concatenation nor the
+/// [E, Ch] gather exists (RandLA-Net's LFA shared MLP). Equal to
+/// linear(concat_cols(x, gather_rows(h, idx)), w, bias) up to rounding.
+Tensor neighbor_linear(const Tensor& x, const Tensor& h, const Tensor& w, const Tensor& bias,
+                       const std::vector<std::int64_t>& idx);
+
+/// Attentive pooling of groups of k rows: g and s [N*k, C] ->
+/// out[i] = sum_r g[i*k+r] * softmax_r(s[i*k..i*k+k-1])[r], per channel.
+/// Bitwise-identical, value and both gradients, to
+/// segment_sum(mul(g, segment_softmax(s, k)), k), built without the
+/// attention tensor, the product and their gradients.
+Tensor attentive_pool(const Tensor& g, const Tensor& s, std::int64_t k);
+
 /// Grouped relative rows: out[i*k+r] = x[idx_a[i*k+r]] - x[idx_b[i]].
 /// Bitwise-identical to sub(gather_rows(x, idx_a),
 /// repeat_rows(gather_rows(x, idx_b), k)) (PointNet++ grouping).
@@ -111,7 +128,7 @@ Tensor mul_rows(const Tensor& x, const Tensor& col);
 // -- Segment (neighbor-group) reductions over [N*K, C] -----------------------
 Tensor segment_max(const Tensor& x, std::int64_t k);   ///< -> [N, C]
 Tensor segment_sum(const Tensor& x, std::int64_t k);   ///< -> [N, C]
-/// Softmax across each group of k rows, per channel (attentive pooling).
+/// Softmax across each group of k rows, per channel (PCT's attention).
 Tensor segment_softmax(const Tensor& x, std::int64_t k);
 
 // -- Probabilistic heads ------------------------------------------------------

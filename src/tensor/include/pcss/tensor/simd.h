@@ -73,6 +73,10 @@ struct Kernels {
   void (*ew_add_scalar)(const float* a, float s, float* y, std::size_t n);
   void (*ew_square)(const float* a, float* y, std::size_t n);
   void (*ew_relu)(const float* a, float* y, std::size_t n);
+  /// y = exp(a) for a <= 0 (or NaN): the in-source exp of the softmax
+  /// kernels, not libm's (simd_kernels.inc). a below ln(2^-126) returns
+  /// exp(ln(2^-126)) ~= 1.1755e-38; NaN returns NaN.
+  void (*ew_exp_nonpos)(const float* a, float* y, std::size_t n);
 
   // -- Elementwise accumulators (backward rules; all do y[i] += ...) ---------
   void (*acc_add)(float* y, const float* g, std::size_t n);            ///< y += g
@@ -114,14 +118,12 @@ struct Kernels {
   /// dx[i,j] += g[i,j] - exp(logp[i,j]) * (8-lane sum_j g[i,j]).
   void (*acc_log_softmax_bw)(float* dx, const float* g, const float* logp,
                              std::int64_t n, std::int64_t c);
-  /// Softmax across each group of k rows per channel; scratch holds 2*c
-  /// floats (caller-provided, contents trashed).
-  void (*segment_softmax)(const float* x, float* y, float* scratch,
-                          std::int64_t n_seg, std::int64_t k, std::int64_t c);
-  /// Backward of segment_softmax; scratch holds c floats.
+  /// Softmax across each group of k rows per channel (exp: ew_exp_nonpos).
+  void (*segment_softmax)(const float* x, float* y, std::int64_t n_seg, std::int64_t k,
+                          std::int64_t c);
+  /// Backward of segment_softmax: dx += y * (g - sum_r g * y) per channel.
   void (*acc_segment_softmax_bw)(float* dx, const float* g, const float* y,
-                                 float* scratch, std::int64_t n_seg, std::int64_t k,
-                                 std::int64_t c);
+                                 std::int64_t n_seg, std::int64_t k, std::int64_t c);
 
   // -- Fused model blocks ----------------------------------------------------
   /// BatchNorm affine pass: xhat[i,j] = (x[i,j] - mean[j]) * inv_std[j],
@@ -144,6 +146,18 @@ struct Kernels {
                               const float* y, const float* x, const float* gamma,
                               const float* mean, const float* inv_std, std::int64_t n,
                               std::int64_t c);
+  /// Attentive pooling of n groups of k rows of g, s [n*k, c]:
+  /// att = segment_softmax(s), out[i,j] = 0 + sum_r g[i*k+r,j] * att[i*k+r,j]
+  /// (r ascending). att [n*k, c] receives the weights, out is [n, c]. Every
+  /// chain is segment_softmax's, ew_mul's and segment_sum's.
+  void (*attentive_pool)(const float* g, const float* s, float* att, float* out,
+                         std::int64_t n, std::int64_t k, std::int64_t c);
+  /// Backward of attentive_pool from dout [n, c] and the saved att:
+  /// dg += dout_i * att; ds += att * (dout_i * g - sum_r dout_i * g * att).
+  /// Either of dg/ds may be null.
+  void (*acc_attentive_pool_bw)(float* dg, float* ds, const float* dout, const float* g,
+                                const float* att, std::int64_t n, std::int64_t k,
+                                std::int64_t c);
 };
 
 /// True when this CPU can execute AVX2 instructions.

@@ -452,11 +452,8 @@ void segment_softmax_bw(TensorImpl& node) {
   if (!px->requires_grad) return;
   px->ensure_grad();
   const std::int64_t k = node.op_i0;
-  const std::int64_t n = px->shape[0] / k, c = px->shape[1];
-  FloatBuffer scratch = pool::acquire(static_cast<size_t>(c));
-  simd::active().acc_segment_softmax_bw(px->grad.data(), node.grad.data(),
-                                        node.data.data(), scratch.data(), n, k, c);
-  pool::release(std::move(scratch));
+  simd::active().acc_segment_softmax_bw(px->grad.data(), node.grad.data(), node.data.data(),
+                                        px->shape[0] / k, k, px->shape[1]);
 }
 
 void log_softmax_rows_bw(TensorImpl& node) {
@@ -665,6 +662,82 @@ void edge_linear_bw(TensorImpl& node) {
     note_gemm(n, c, m);
     K.gemm_at_b(h, dq, pw->grad.data() + c * m, n, c, m);
   }
+}
+
+/// Backward of neighbor_linear, with w = [w_x; w_h]: dx += dy * w_x^T,
+/// dQ = dy scatter-added by idx (into the forward's Q scratch), dh +=
+/// dQ * w_h^T, dw_x += x^T * dy, dw_h += h^T * dQ, db = column sum of dy.
+/// ctx.fbuf layout: [w_x^T (m*cx) | w_h^T (m*ch) | Q (nh*m)].
+void neighbor_linear_bw(TensorImpl& node) {
+  const simd::Kernels& K = simd::active();
+  TensorImpl* px = parent(node, 0);
+  TensorImpl* ph = parent(node, 1);
+  TensorImpl* pw = parent(node, 2);
+  const std::int64_t e = px->shape[0], cx = px->shape[1];
+  const std::int64_t nh = ph->shape[0], ch = ph->shape[1], m = node.shape[1];
+  const float* dy = node.grad.data();
+  if (node.parents.size() > 3) {
+    TensorImpl* pbias = parent(node, 3);
+    if (pbias->requires_grad) {
+      pbias->ensure_grad();
+      K.acc_col_sum(pbias->grad.data(), dy, e, m);
+    }
+  }
+  float* wxt = node.ctx->fbuf.data();
+  float* wht = wxt + m * cx;
+  float* dq = wht + m * ch;
+  const float* w = pw->data.data();
+  if (px->requires_grad) {
+    px->ensure_grad();
+    for (std::int64_t r = 0; r < cx; ++r) {
+      for (std::int64_t t = 0; t < m; ++t) wxt[t * cx + r] = w[r * m + t];
+    }
+    note_gemm(e, m, cx);
+    K.gemm_nn(dy, wxt, px->grad.data(), e, m, cx);
+  }
+  if (pw->requires_grad) {
+    pw->ensure_grad();
+    note_gemm(e, cx, m);
+    K.gemm_at_b(px->data.data(), dy, pw->grad.data(), e, cx, m);
+  }
+  if (!ph->requires_grad && !pw->requires_grad) return;
+  const std::int64_t* idx = node.ctx->ibuf.data();
+  std::fill(dq, dq + nh * m, 0.0f);
+  for (std::int64_t r = 0; r < e; ++r) {
+    K.acc_add(dq + idx[r] * m, dy + r * m, static_cast<size_t>(m));
+  }
+  if (ph->requires_grad) {
+    ph->ensure_grad();
+    const float* wh = w + cx * m;
+    for (std::int64_t r = 0; r < ch; ++r) {
+      for (std::int64_t t = 0; t < m; ++t) wht[t * ch + r] = wh[r * m + t];
+    }
+    note_gemm(nh, m, ch);
+    K.gemm_nn(dq, wht, ph->grad.data(), nh, m, ch);
+  }
+  if (pw->requires_grad) {
+    note_gemm(nh, ch, m);
+    K.gemm_at_b(ph->data.data(), dq, pw->grad.data() + cx * m, nh, ch, m);
+  }
+}
+
+/// Backward of attentive_pool from the weights its forward saved in ctx.
+void attentive_pool_bw(TensorImpl& node) {
+  TensorImpl* pg = parent(node, 0);
+  TensorImpl* ps = parent(node, 1);
+  float* dg = nullptr;
+  float* ds = nullptr;
+  if (pg->requires_grad) {
+    pg->ensure_grad();
+    dg = pg->grad.data();
+  }
+  if (ps->requires_grad) {
+    ps->ensure_grad();
+    ds = ps->grad.data();
+  }
+  simd::active().acc_attentive_pool_bw(dg, ds, node.grad.data(), pg->data.data(),
+                                       node.ctx->fbuf.data(), node.shape[0], node.op_i0,
+                                       node.shape[1]);
 }
 
 /// Mirrors sub(gather(x, idx_a), repeat(gather(x, idx_b), k)): the
@@ -976,6 +1049,37 @@ void edge_linear_fwd(TensorImpl& node) {
   }
 }
 
+void neighbor_linear_fwd(TensorImpl& node) {
+  const simd::Kernels& K = simd::active();
+  TensorImpl* px = parent(node, 0);
+  TensorImpl* ph = parent(node, 1);
+  const std::int64_t e = px->shape[0], cx = px->shape[1];
+  const std::int64_t nh = ph->shape[0], ch = ph->shape[1], m = node.shape[1];
+  const float* w = parent(node, 2)->data.data();
+  float* q = node.ctx->fbuf.data() + m * (cx + ch);
+  float* y = node.data.data();
+  note_gemm(e, cx, m);
+  K.gemm_nn_init(px->data.data(), w, y, e, cx, m);
+  note_gemm(nh, ch, m);
+  K.gemm_nn_init(ph->data.data(), w + cx * m, q, nh, ch, m);
+  const std::int64_t* idx = node.ctx->ibuf.data();
+  for (std::int64_t r = 0; r < e; ++r) {
+    K.acc_add(y + r * m, q + idx[r] * m, static_cast<size_t>(m));
+  }
+  if (node.parents.size() > 3) {
+    K.add_rowvec(y, parent(node, 3)->data.data(), y, e, m);
+  }
+}
+
+void attentive_pool_fwd(TensorImpl& node) {
+  // The softmax weights are value-dependent saved state: rewritten into
+  // ctx.fbuf on every forward, read by the backward.
+  TensorImpl* pg = parent(node, 0);
+  simd::active().attentive_pool(pg->data.data(), parent(node, 1)->data.data(),
+                                node.ctx->fbuf.data(), node.data.data(), node.shape[0],
+                                node.op_i0, node.shape[1]);
+}
+
 void gather_sub_rows_fwd(TensorImpl& node) {
   TensorImpl* px_node = parent(node, 0);
   const std::int64_t k = node.op_i0;
@@ -1024,11 +1128,8 @@ void segment_sum_fwd(TensorImpl& node) {
 void segment_softmax_fwd(TensorImpl& node) {
   TensorImpl* px = parent(node, 0);
   const std::int64_t k = node.op_i0;
-  const std::int64_t n = px->shape[0] / k, c = px->shape[1];
-  FloatBuffer scratch = pool::acquire(static_cast<size_t>(2 * c));
-  simd::active().segment_softmax(px->data.data(), node.data.data(), scratch.data(), n,
-                                 k, c);
-  pool::release(std::move(scratch));
+  simd::active().segment_softmax(px->data.data(), node.data.data(), px->shape[0] / k, k,
+                                 px->shape[1]);
 }
 
 void log_softmax_rows_fwd(TensorImpl& node) {
@@ -1365,6 +1466,34 @@ Tensor edge_linear(const Tensor& h, const Tensor& w, const Tensor& bias,
                    {.i0 = k, .ctx = std::move(ctx), .fwd = edge_linear_fwd});
 }
 
+Tensor neighbor_linear(const Tensor& x, const Tensor& h, const Tensor& w, const Tensor& bias,
+                       const std::vector<std::int64_t>& idx) {
+  check_matrix(x, "neighbor_linear");
+  check_matrix(h, "neighbor_linear");
+  check_matrix(w, "neighbor_linear");
+  const std::int64_t e = x.dim(0), cx = x.dim(1);
+  const std::int64_t nh = h.dim(0), ch = h.dim(1), m = w.dim(1);
+  check(w.dim(0) == cx + ch,
+        "neighbor_linear: weight must be [Cx + Ch, M] for x [E, Cx] and h [N, Ch]");
+  check(static_cast<std::int64_t>(idx.size()) == e,
+        "neighbor_linear: idx must have one entry per row of x");
+  for (const std::int64_t j : idx) {
+    if (j < 0 || j >= nh) tensor_fail("neighbor_linear: index out of range");
+  }
+  std::vector<TensorImplPtr> parents{x.impl(), h.impl(), w.impl()};
+  if (bias.defined()) {
+    check(bias.numel() == m, "neighbor_linear: bias size must equal output width");
+    parents.push_back(bias.impl());
+  }
+  // Scratch sized here, so a replay takes no pool buffers; layout as in
+  // neighbor_linear_bw.
+  auto ctx = std::make_unique<BackwardCtx>();
+  ctx->ibuf = idx;
+  ctx->fbuf = pool::acquire(static_cast<size_t>(m * (cx + ch) + nh * m));
+  return make_node({e, m}, std::move(parents), neighbor_linear_bw,
+                   {.ctx = std::move(ctx), .fwd = neighbor_linear_fwd});
+}
+
 Tensor gather_sub_rows(const Tensor& x, const std::vector<std::int64_t>& idx_a,
                        const std::vector<std::int64_t>& idx_b, std::int64_t k) {
   check_matrix(x, "gather_sub_rows");
@@ -1426,6 +1555,16 @@ Tensor segment_softmax(const Tensor& x, std::int64_t k) {
   check_segments(x, k, "segment_softmax");
   return make_node(x.shape(), {x.impl()}, segment_softmax_bw,
                    {.i0 = k, .fwd = segment_softmax_fwd});
+}
+
+Tensor attentive_pool(const Tensor& g, const Tensor& s, std::int64_t k) {
+  check_segments(g, k, "attentive_pool");
+  check_same_shape(g, s, "attentive_pool");
+  // ctx.fbuf holds the softmax weights [N*k, C], sized here.
+  auto ctx = std::make_unique<BackwardCtx>();
+  ctx->fbuf = pool::acquire(static_cast<size_t>(g.numel()));
+  return make_node({g.dim(0) / k, g.dim(1)}, {g.impl(), s.impl()}, attentive_pool_bw,
+                   {.i0 = k, .ctx = std::move(ctx), .fwd = attentive_pool_fwd});
 }
 
 // ---------------------------------------------------------------------------

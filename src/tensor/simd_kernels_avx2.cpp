@@ -15,6 +15,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>

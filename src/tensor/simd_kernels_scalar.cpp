@@ -3,6 +3,7 @@
 // reference the AVX2 build must match bit-for-bit, and the fallback on
 // CPUs without AVX2.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>

@@ -1,9 +1,9 @@
 // Fused-vs-unfused bit-exactness: every fused op must produce exactly the
 // same forward values AND the same input gradients as the op composition
-// it replaces (the engine's determinism guarantees depend on it). The one
-// exception is edge_linear, which factors a Linear through a gather and so
-// matches its composition up to rounding. Each op also gets an independent
-// finite-difference gradcheck.
+// it replaces (the engine's determinism guarantees depend on it). The
+// exceptions are edge_linear and neighbor_linear, which factor a Linear
+// through a gather and so match their compositions up to rounding. Each op
+// also gets an independent finite-difference gradcheck.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,8 +133,8 @@ TEST(FusedOps, EdgeLinearMatchesEdgeAssemblyThenLinear) {
     const Tensor g = Tensor::from_data({n * k, m}, gv);
     ops::sum(ops::mul(fused, g)).backward();
     ops::sum(ops::mul(unfused, g)).backward();
-    std::vector<std::pair<Tensor, Tensor>> pairs{{h1, h2}, {w1, w2}};
-    if (with_bias) pairs.push_back({b1, b2});
+    std::vector<std::pair<Tensor, Tensor>> pairs{{h1, h2}, {w1, w2}, {b1, b2}};
+    if (!with_bias) pairs.pop_back();
     for (const auto& [f, u] : pairs) {
       ASSERT_EQ(f.grad().size(), u.grad().size());
       EXPECT_LT(max_rel_diff(f.grad().data(), u.grad().data(), f.grad().size()), 1e-5f)
@@ -163,6 +163,81 @@ TEST(FusedOps, EdgeLinearMatchesEdgeAssemblyThenLinear) {
         return ops::sum(ops::square(ops::edge_linear(hg, wg, b, idx, k)));
       },
       {m}, bv);
+}
+
+// neighbor_linear runs the gathered half of its Linear on point rows, so
+// like edge_linear it matches its composition up to rounding.
+TEST(FusedOps, NeighborLinearMatchesConcatGatherThenLinear) {
+  Rng rng(108);
+  const std::int64_t e = 8, cx = 3, nh = 5, ch = 4, m = 6;
+  const std::vector<std::int64_t> idx{4, 0, 2, 2, 1, 3, 0, 4};
+  const auto xv = random_values(e * cx, rng), hv = random_values(nh * ch, rng),
+             wv = random_values((cx + ch) * m, rng), bv = random_values(m, rng);
+  const auto gv = random_values(e * m, rng);
+  for (const bool with_bias : {true, false}) {
+    Tensor x1 = leaf({e, cx}, xv), h1 = leaf({nh, ch}, hv), w1 = leaf({cx + ch, m}, wv),
+           b1 = leaf({m}, bv);
+    Tensor x2 = leaf({e, cx}, xv), h2 = leaf({nh, ch}, hv), w2 = leaf({cx + ch, m}, wv),
+           b2 = leaf({m}, bv);
+    Tensor fused = ops::neighbor_linear(x1, h1, w1, with_bias ? b1 : Tensor(), idx);
+    Tensor unfused = ops::linear(ops::concat_cols(x2, ops::gather_rows(h2, idx)), w2,
+                                 with_bias ? b2 : Tensor());
+    ASSERT_EQ(fused.shape(), unfused.shape());
+    EXPECT_LT(max_rel_diff(fused.data(), unfused.data(), static_cast<size_t>(fused.numel())),
+              1e-5f);
+    const Tensor g = Tensor::from_data({e, m}, gv);
+    ops::sum(ops::mul(fused, g)).backward();
+    ops::sum(ops::mul(unfused, g)).backward();
+    std::vector<std::pair<Tensor, Tensor>> pairs{{x1, x2}, {h1, h2}, {w1, w2}, {b1, b2}};
+    if (!with_bias) pairs.pop_back();
+    for (const auto& [f, u] : pairs) {
+      ASSERT_EQ(f.grad().size(), u.grad().size());
+      EXPECT_LT(max_rel_diff(f.grad().data(), u.grad().data(), f.grad().size()), 1e-5f)
+          << "with_bias=" << with_bias;
+    }
+    if (!with_bias) {
+      EXPECT_TRUE(b1.grad().empty());
+    }
+  }
+
+  const Tensor xg = Tensor::from_data({e, cx}, xv);
+  const Tensor hg = Tensor::from_data({nh, ch}, hv);
+  const Tensor wg = Tensor::from_data({cx + ch, m}, wv);
+  const Tensor bg = Tensor::from_data({m}, bv);
+  auto loss = [&](const Tensor& x, const Tensor& h, const Tensor& w, const Tensor& b) {
+    return ops::sum(ops::square(ops::neighbor_linear(x, h, w, b, idx)));
+  };
+  expect_gradcheck([&](const Tensor& x) { return loss(x, hg, wg, bg); }, {e, cx}, xv);
+  expect_gradcheck([&](const Tensor& h) { return loss(xg, h, wg, bg); }, {nh, ch}, hv);
+  expect_gradcheck([&](const Tensor& w) { return loss(xg, hg, w, bg); }, {cx + ch, m}, wv);
+  expect_gradcheck([&](const Tensor& b) { return loss(xg, hg, wg, b); }, {m}, bv);
+}
+
+TEST(FusedOps, AttentivePoolMatchesSoftmaxMulSum) {
+  Rng rng(110);
+  for (const std::int64_t k : {1, 3, 12}) {
+    for (const std::int64_t c : {1, 5, 9}) {
+      const std::int64_t n = 4;
+      const auto gv = random_values(n * k * c, rng);
+      const auto sv = random_values(n * k * c, rng, -4.0f, 4.0f);
+      Tensor g1 = leaf({n * k, c}, gv), s1 = leaf({n * k, c}, sv);
+      Tensor g2 = leaf({n * k, c}, gv), s2 = leaf({n * k, c}, sv);
+      Tensor fused = ops::attentive_pool(g1, s1, k);
+      Tensor unfused = ops::segment_sum(ops::mul(g2, ops::segment_softmax(s2, k)), k);
+      backward_and_compare(fused, unfused, {{g1, g2}, {s1, s2}});
+    }
+  }
+
+  const std::int64_t n = 3, k = 4, c = 2;
+  const auto gv = random_values(n * k * c, rng), sv = random_values(n * k * c, rng);
+  const Tensor gg = Tensor::from_data({n * k, c}, gv);
+  const Tensor sg = Tensor::from_data({n * k, c}, sv);
+  expect_gradcheck(
+      [&](const Tensor& g) { return ops::sum(ops::square(ops::attentive_pool(g, sg, k))); },
+      {n * k, c}, gv);
+  expect_gradcheck(
+      [&](const Tensor& s) { return ops::sum(ops::square(ops::attentive_pool(gg, s, k))); },
+      {n * k, c}, sv);
 }
 
 TEST(FusedOps, GatherSubRowsMatchesGatherRepeatSub) {

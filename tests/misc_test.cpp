@@ -95,6 +95,9 @@ TEST(TensorExtras, HostileIndicesThrowBeforeTheForwardReads) {
     EXPECT_THROW(ops::edge_linear(x, Tensor::zeros({6, 2}), Tensor::zeros({2}),
                                   {0, 1, 2, 3, 0, 1, 2, bad}, 2),
                  std::runtime_error);
+    EXPECT_THROW(ops::neighbor_linear(Tensor::zeros({2, 1}), x, Tensor::zeros({4, 2}),
+                                      Tensor::zeros({2}), {0, bad}),
+                 std::runtime_error);
     EXPECT_THROW(ops::smoothness_penalty(x, {1, 2, 3, bad}, 1), std::runtime_error);
     EXPECT_THROW(ops::scatter_rows(Tensor::zeros({2, 3}), {0, bad}, 4,
                                    std::vector<float>(12, 0.0f)),
@@ -115,6 +118,9 @@ TEST(TensorExtras, SegmentOpsRejectBadK) {
   Tensor x = Tensor::zeros({6, 2});
   EXPECT_THROW(ops::segment_max(x, 4), std::runtime_error);
   EXPECT_THROW(ops::segment_softmax(x, 0), std::runtime_error);
+  EXPECT_THROW(ops::attentive_pool(x, x, 4), std::runtime_error);
+  EXPECT_THROW(ops::attentive_pool(x, x, 0), std::runtime_error);
+  EXPECT_THROW(ops::attentive_pool(x, Tensor::zeros({6, 3}), 3), std::runtime_error);
 }
 
 // --- model zoo ---------------------------------------------------------------

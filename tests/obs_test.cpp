@@ -276,8 +276,9 @@ TEST_F(TraceTest, DocumentsAreByteIdenticalWithTracingOnOrOff) {
 }
 
 /// Runs the pcss_trace binary on `path`: exit status and stdout+stderr.
-std::pair<int, std::string> run_pcss_trace(const std::string& path) {
-  const std::string cmd = std::string(PCSS_TRACE_BIN) + " " + path + " 2>&1";
+std::pair<int, std::string> run_pcss_trace(const std::string& path,
+                                           const std::string& args = "") {
+  const std::string cmd = std::string(PCSS_TRACE_BIN) + " " + path + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return {-1, "popen failed"};
   std::string output;
@@ -338,6 +339,32 @@ TEST(PcssTrace, HostileIntegersFailNamingTheField) {
     EXPECT_NE(output.find(name), std::string::npos) << fields << ": " << output;
     EXPECT_EQ(output.find("-9223372036854775808"), std::string::npos) << output;
   }
+  fs::remove(path);
+}
+
+TEST(PcssTrace, TopTakesOnlyANonNegativeInteger) {
+  const std::string path =
+      (fs::temp_directory_path() / "pcss_obs_test_top_trace.json").string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << R"({"traceEvents": [)"
+        << R"({"name": "span.a", "ph": "X", "ts": 0, "dur": 5, "tid": 1},)"
+        << R"({"name": "span.b", "ph": "X", "ts": 10, "dur": 3, "tid": 1}]})";
+  }
+  // Each used to run with exit 0: "-1" printed every span, the rest none.
+  for (const char* bad : {"-1", "abc", "5x", "' 3'", "+3", "''", "99999999999999999999"}) {
+    const auto [status, output] = run_pcss_trace(path, std::string("--top ") + bad);
+    EXPECT_EQ(status, 2) << bad << ": " << output;
+    EXPECT_NE(output.find("--top expects an integer"), std::string::npos) << output;
+    EXPECT_EQ(output.find("span.a"), std::string::npos) << bad << ": " << output;
+  }
+  const auto [status1, top1] = run_pcss_trace(path, "--top 1");
+  EXPECT_EQ(status1, 0) << top1;
+  EXPECT_NE(top1.find("span.a"), std::string::npos) << top1;
+  EXPECT_EQ(top1.find("span.b"), std::string::npos) << top1;
+  const auto [status0, top0] = run_pcss_trace(path, "--top 0");
+  EXPECT_EQ(status0, 0) << top0;
+  EXPECT_EQ(top0.find("span.a"), std::string::npos) << top0;
   fs::remove(path);
 }
 

@@ -25,6 +25,7 @@
 #include "pcss/obs/metrics.h"
 #include "pcss/tensor/ops.h"
 #include "pcss/tensor/plan.h"
+#include "pcss/tensor/pool.h"
 
 using namespace pcss::core;
 using pcss::data::IndoorSceneGenerator;
@@ -278,6 +279,16 @@ const std::vector<OpRow>& op_rows() {
        [](const V& l) {
          return ops::edge_linear(l[0], l[1], Tensor(), {1, 2, 0, 3, 3, 1, 2, 0}, 2);
        }},
+      {"neighbor_linear", {{6, 2}, {4, 3}, {5, 2}, {2}},
+       [](const V& l) {
+         return ops::neighbor_linear(l[0], l[1], l[2], l[3], {3, 0, 2, 2, 1, 3});
+       }},
+      {"neighbor_linear_no_bias", {{6, 2}, {4, 3}, {5, 2}},
+       [](const V& l) {
+         return ops::neighbor_linear(l[0], l[1], l[2], Tensor(), {3, 0, 2, 2, 1, 3});
+       }},
+      {"attentive_pool", {{6, 3}, {6, 3}},
+       [](const V& l) { return ops::attentive_pool(l[0], l[1], 3); }},
       {"gather_sub_rows", {{5, 3}},
        [](const V& l) {
          return ops::gather_sub_rows(l[0], {1, 2, 0, 4, 3, 3}, {0, 2, 4}, 2);
@@ -415,6 +426,41 @@ INSTANTIATE_TEST_SUITE_P(Zoo, PlanModels,
                          ::testing::Values(Family::kPointNet2, Family::kResGCN,
                                            Family::kRandLA),
                          [](const auto& param_info) { return family_name(param_info.param); });
+
+/// Pool acquires per replayed step, measured as DESIGN.md §10 states it:
+/// the pool::stats() delta between a 20-step and a 40-step bounded color
+/// attack (one capture each), divided by the 20 extra replays.
+std::uint64_t acquires_per_replay(Family family) {
+  Rng rng(30);
+  auto model = make_model(family, rng);
+  const PointCloud cloud = tiny_scene();
+  auto acquires = [&](int steps) {
+    AttackConfig config;
+    config.field = AttackField::kColor;
+    config.norm = AttackNorm::kBounded;
+    config.steps = steps;
+    AttackEngine engine(*model, config);
+    const std::uint64_t before = pcss::tensor::pool::stats().acquires;
+    PlanCounters counters;
+    (void)engine.run(cloud, plan_on());
+    EXPECT_EQ(counters.captures(), 1u);
+    return pcss::tensor::pool::stats().acquires - before;
+  };
+  const std::uint64_t short_run = acquires(20);
+  const std::uint64_t long_run = acquires(40);
+  EXPECT_EQ((long_run - short_run) % 20, 0u) << "replays must acquire the same each step";
+  return (long_run - short_run) / 20;
+}
+
+TEST(PlanEngine, ReplayPoolAcquiresPerStep) {
+  // The DESIGN.md §10 figures: what is left are the gemm_a_bt transposes
+  // of the Linears whose input needs a gradient (and, in PointNet2, the
+  // gather_sub_rows backward). The fused ops keep their scratch in the
+  // node, and a color attack does not differentiate the positions.
+  EXPECT_LE(acquires_per_replay(Family::kRandLA), 8u);
+  EXPECT_LE(acquires_per_replay(Family::kResGCN), 3u);
+  EXPECT_LE(acquires_per_replay(Family::kPointNet2), 8u);
+}
 
 // --- Invalidation, gating, threading --------------------------------------
 

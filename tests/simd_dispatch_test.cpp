@@ -8,6 +8,8 @@
 // other.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -313,17 +315,13 @@ TEST(SimdBitExact, SoftmaxFamily) {
     const auto sx = test_values(static_cast<size_t>(nseg * k * c), 20);
     const auto sg = test_values(static_cast<size_t>(nseg * k * c), 21);
     std::vector<float> sys(sx.size()), sya(sx.size());
-    std::vector<float> scratch_s(static_cast<size_t>(2 * c)),
-        scratch_a(static_cast<size_t>(2 * c));
-    S.segment_softmax(sx.data(), sys.data(), scratch_s.data(), nseg, k, c);
-    A.segment_softmax(sx.data(), sya.data(), scratch_a.data(), nseg, k, c);
+    S.segment_softmax(sx.data(), sys.data(), nseg, k, c);
+    A.segment_softmax(sx.data(), sya.data(), nseg, k, c);
     EXPECT_TRUE(bytes_equal(sys.data(), sya.data(), sys.size()))
         << "segment_softmax c=" << c;
     std::vector<float> sds(sx.size(), 0.1f), sda(sds);
-    S.acc_segment_softmax_bw(sds.data(), sg.data(), sys.data(), scratch_s.data(),
-                             nseg, k, c);
-    A.acc_segment_softmax_bw(sda.data(), sg.data(), sya.data(), scratch_a.data(),
-                             nseg, k, c);
+    S.acc_segment_softmax_bw(sds.data(), sg.data(), sys.data(), nseg, k, c);
+    A.acc_segment_softmax_bw(sda.data(), sg.data(), sya.data(), nseg, k, c);
     EXPECT_TRUE(bytes_equal(sds.data(), sda.data(), sds.size()))
         << "acc_segment_softmax_bw c=" << c;
   }
@@ -474,6 +472,188 @@ TEST(SimdBitExact, BnReluBackwardSpecialValues) {
     A.acc_bn_relu_eval_bw(dxa.data(), nullptr, nullptr, g.data(), y.data(), x.data(),
                           gamma.data(), mean.data(), inv_std.data(), n, c);
     EXPECT_TRUE(bytes_equal(dxs.data(), dxa.data(), nc)) << "bnre_bw dx-only c=" << c;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The in-source exp and the attentive-pooling kernels built on it
+// ---------------------------------------------------------------------------
+
+/// |got - ref| in units of the float spacing at ref (ref a normal float).
+double ulp_error(float got, double ref) {
+  int exponent = 0;
+  std::frexp(ref, &exponent);  // ref = m * 2^exponent, m in [0.5, 1)
+  return std::abs(static_cast<double>(got) - ref) / std::ldexp(1.0, exponent - 24);
+}
+
+/// The tables present in this binary: scalar, and AVX2 when available.
+std::vector<const simd::Kernels*> available_tables() {
+  std::vector<const simd::Kernels*> tables{&simd::scalar_kernels()};
+  if (simd::avx2_kernels() != nullptr) tables.push_back(simd::avx2_kernels());
+  return tables;
+}
+
+TEST(SimdExp, WithinOneUlpOfDoubleExpOnNonPositiveRange) {
+  // Every 997th float of [-87, 0] (over a million arguments, every
+  // exponent of the range), against exp in double.
+  std::vector<float> x;
+  for (std::uint32_t bits = 0x80000000u; bits <= std::bit_cast<std::uint32_t>(-87.0f);
+       bits += 997) {
+    x.push_back(std::bit_cast<float>(bits));
+  }
+  x.push_back(-87.0f);
+  for (const simd::Kernels* table : available_tables()) {
+    std::vector<float> y(x.size());
+    table->ew_exp_nonpos(x.data(), y.data(), x.size());
+    double worst = 0.0;
+    float worst_x = 0.0f;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double err = ulp_error(y[i], std::exp(static_cast<double>(x[i])));
+      if (err > worst) {
+        worst = err;
+        worst_x = x[i];
+      }
+    }
+    EXPECT_LE(worst, 1.0) << table->name << ": worst at x = " << worst_x;
+  }
+}
+
+TEST(SimdExp, ExactAtZeroClampedBelowAndNanPropagates) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float lo = std::log(std::numeric_limits<float>::min());  // ln(2^-126)
+  const std::vector<float> x = {0.0f,  -0.0f, -std::numeric_limits<float>::denorm_min(),
+                                lo,    -87.5f, -100.0f,
+                                -1e30f, -inf,  std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::signaling_NaN()};
+  for (const simd::Kernels* table : available_tables()) {
+    std::vector<float> y(x.size());
+    table->ew_exp_nonpos(x.data(), y.data(), x.size());
+    EXPECT_EQ(y[0], 1.0f) << table->name;
+    EXPECT_EQ(y[1], 1.0f) << table->name;
+    EXPECT_EQ(y[2], 1.0f) << table->name;
+    // The clamp: every argument at or below ln(2^-126) gives the same
+    // smallest-normal-sized value, positive and within 1 ulp of exp(lo).
+    EXPECT_LE(ulp_error(y[3], std::exp(static_cast<double>(lo))), 1.0) << table->name;
+    for (size_t i = 4; i < 8; ++i) {
+      EXPECT_EQ(y[i], y[3]) << table->name << " x = " << x[i];
+      EXPECT_GT(y[i], 0.0f) << table->name << " x = " << x[i];
+    }
+    EXPECT_TRUE(std::isnan(y[8])) << table->name;
+    EXPECT_TRUE(std::isnan(y[9])) << table->name;
+  }
+}
+
+/// Channel widths of the attentive-pooling and neighbor_linear rows: one
+/// lane, a partial vector, one vector, one vector plus a tail, and the
+/// widths RandLA-Net runs.
+const std::vector<std::int64_t>& pool_widths() {
+  static const std::vector<std::int64_t> widths = {1, 7, 8, 9, 32, 64};
+  return widths;
+}
+
+TEST(SimdBitExact, ExpKernel) {
+  PCSS_REQUIRE_AVX2_TABLE();
+  for (const std::int64_t n64 : tail_sizes()) {
+    const size_t n = static_cast<size_t>(n64);
+    auto x = test_values(n, 40);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = -std::abs(x[i]) * 8.0f;  // the kernel's domain, down to -1024
+      if (i % 5 == 3) x[i] = special_first(i) > 0.0f ? -special_first(i) : special_first(i);
+    }
+    std::vector<float> ys(n), ya(n);
+    S.ew_exp_nonpos(x.data(), ys.data(), n);
+    A.ew_exp_nonpos(x.data(), ya.data(), n);
+    EXPECT_TRUE(bytes_equal(ys.data(), ya.data(), n)) << "ew_exp_nonpos n=" << n;
+  }
+}
+
+TEST(SimdBitExact, AttentivePool) {
+  PCSS_REQUIRE_AVX2_TABLE();
+  for (const std::int64_t k : {1, 3, 12}) {
+    for (const std::int64_t c : pool_widths()) {
+      // Groups 0-1 ordinary; group 2 carries one special score per
+      // channel, group 3 one special feature, group 4 a special dout: each
+      // (group, channel) chain meets at most one special value, so the
+      // result does not hinge on which NaN payload an operation keeps.
+      const std::int64_t n = 5;
+      const size_t rows = static_cast<size_t>(n * k * c);
+      auto g = test_values(rows, 41);
+      auto s = test_values(rows, 42);
+      auto dout = test_values(static_cast<size_t>(n * c), 43);
+      for (std::int64_t j = 0; j < c; ++j) {
+        const std::int64_t r = j % k;
+        s[static_cast<size_t>((2 * k + r) * c + j)] = special_first(static_cast<size_t>(j));
+        g[static_cast<size_t>((3 * k + r) * c + j)] = special_first(static_cast<size_t>(j));
+        dout[static_cast<size_t>(4 * c + j)] = special_first(static_cast<size_t>(j));
+      }
+      std::vector<float> att_s(rows), att_a(rows);
+      std::vector<float> out_s(static_cast<size_t>(n * c)), out_a(out_s);
+      S.attentive_pool(g.data(), s.data(), att_s.data(), out_s.data(), n, k, c);
+      A.attentive_pool(g.data(), s.data(), att_a.data(), out_a.data(), n, k, c);
+      EXPECT_TRUE(bytes_equal(att_s.data(), att_a.data(), rows)) << "att k=" << k << " c=" << c;
+      EXPECT_TRUE(bytes_equal(out_s.data(), out_a.data(), out_s.size()))
+          << "out k=" << k << " c=" << c;
+      // Backward: both grads, dg only, ds only.
+      for (const int which : {0, 1, 2}) {
+        std::vector<float> dgs(rows, 0.25f), dga(dgs), dss(rows, -0.5f), dsa(dss);
+        float* dg_s = which == 2 ? nullptr : dgs.data();
+        float* dg_a = which == 2 ? nullptr : dga.data();
+        float* ds_s = which == 1 ? nullptr : dss.data();
+        float* ds_a = which == 1 ? nullptr : dsa.data();
+        S.acc_attentive_pool_bw(dg_s, ds_s, dout.data(), g.data(), att_s.data(), n, k, c);
+        A.acc_attentive_pool_bw(dg_a, ds_a, dout.data(), g.data(), att_s.data(), n, k, c);
+        EXPECT_TRUE(bytes_equal(dgs.data(), dga.data(), rows))
+            << "dg k=" << k << " c=" << c << " case " << which;
+        EXPECT_TRUE(bytes_equal(dss.data(), dsa.data(), rows))
+            << "ds k=" << k << " c=" << c << " case " << which;
+      }
+    }
+  }
+}
+
+TEST(SimdBitExact, NeighborLinearAcrossIsas) {
+  if (simd::avx2_kernels() == nullptr) GTEST_SKIP() << "AVX2 unavailable here";
+  IsaGuard guard;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::int64_t c : pool_widths()) {
+    // x [E, c], h [N, c + 1], w [2c + 1, c]. Specials without NaN inputs
+    // (so every NaN is the one default NaN an invalid operation makes):
+    // one row of x and one row of h carry +-inf, -0.0, a subnormal and a
+    // huge value, and the special x row gathers an ordinary h row.
+    const std::int64_t e = 12, nh = 5, ch = c + 1;
+    std::vector<std::int64_t> idx(static_cast<size_t>(e));
+    for (std::int64_t r = 0; r < e; ++r) idx[static_cast<size_t>(r)] = (r * 3 + 1) % nh;
+    const std::vector<float> specials = {inf, -inf, -0.0f, 1e-39f, 3e38f};
+    auto run = [&](simd::Isa isa) {
+      simd::force(isa);
+      auto xv = test_values(static_cast<size_t>(e * c), 44);
+      auto hv = test_values(static_cast<size_t>(nh * ch), 45);
+      for (std::int64_t t = 0; t < c; ++t) {
+        xv[static_cast<size_t>(2 * c + t)] = specials[static_cast<size_t>(t) % specials.size()];
+      }
+      for (std::int64_t t = 0; t < ch; ++t) {
+        hv[static_cast<size_t>(3 * ch + t)] = specials[static_cast<size_t>(t) % specials.size()];
+      }
+      Tensor x = Tensor::from_data({e, c}, xv);
+      Tensor h = Tensor::from_data({nh, ch}, hv);
+      Tensor w = Tensor::from_data({c + ch, c}, test_values(static_cast<size_t>((c + ch) * c), 46));
+      Tensor b = Tensor::from_data({c}, test_values(static_cast<size_t>(c), 47));
+      for (Tensor* t : {&x, &h, &w, &b}) t->set_requires_grad(true);
+      Tensor y = ops::neighbor_linear(x, h, w, b, idx);
+      const Tensor gw = Tensor::from_data({e, c}, test_values(static_cast<size_t>(e * c), 48));
+      ops::sum(ops::mul(y, gw)).backward();
+      std::vector<float> out(y.data(), y.data() + y.numel());
+      for (const Tensor* t : {&x, &h, &w, &b}) {
+        out.insert(out.end(), t->grad().begin(), t->grad().end());
+      }
+      return out;
+    };
+    ASSERT_EQ(idx[2], 2);  // the special x row gathers an ordinary h row
+    const auto scalar_out = run(simd::Isa::kScalar);
+    const auto avx2_out = run(simd::Isa::kAvx2);
+    ASSERT_EQ(scalar_out.size(), avx2_out.size());
+    EXPECT_TRUE(bytes_equal(scalar_out.data(), avx2_out.data(), scalar_out.size()))
+        << "neighbor_linear c=" << c;
   }
 }
 

@@ -20,6 +20,10 @@ KERNELS=(
   acc_bn_relu_eval_bw
   segment_max
   bn_affine
+  segment_softmax
+  acc_segment_softmax_bw
+  attentive_pool
+  acc_attentive_pool_bw
 )
 
 if [[ $# -ne 1 || ! -f "$1" ]]; then

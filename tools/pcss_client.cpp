@@ -19,6 +19,7 @@
 
 #include "pcss/runner/json.h"
 #include "pcss/serve/protocol.h"
+#include "flag_int.h"
 
 namespace {
 
@@ -171,6 +172,9 @@ int main(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
+    const auto int_value = [&](const char* flag) {
+      return pcss::tools::flag_count("pcss_client", flag, value(flag).c_str());
+    };
     if (arg == "--help" || arg == "-h") return usage(0);
     if (arg == "--socket") {
       socket_path = value("--socket");
@@ -183,9 +187,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--force") {
       force = true;
     } else if (arg == "--threads") {
-      threads = std::atoi(value("--threads").c_str());
+      threads = int_value("--threads");
     } else if (arg == "--shard-size") {
-      shard_size = std::atoi(value("--shard-size").c_str());
+      shard_size = int_value("--shard-size");
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "pcss_client: unknown option '%s'\n", arg.c_str());
       return usage(2);

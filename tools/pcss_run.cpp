@@ -41,6 +41,7 @@
 #include "pcss/runner/result_store.h"
 #include "pcss/runner/scale.h"
 #include "pcss/runner/zoo_provider.h"
+#include "flag_int.h"
 
 namespace {
 
@@ -529,7 +530,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pcss_run: %s needs a value\n", flag);
         std::exit(2);
       }
-      return std::atoi(argv[++i]);
+      return pcss::tools::flag_count("pcss_run", flag, argv[++i]);
     };
     const auto str_value = [&](const char* flag) {
       if (i + 1 >= argc) {

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -29,6 +30,7 @@
 #include "pcss/runner/zoo_provider.h"
 #include "pcss/serve/config.h"
 #include "pcss/serve/server.h"
+#include "flag_int.h"
 
 namespace {
 
@@ -104,6 +106,9 @@ int main(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
+    const auto int_value = [&](const char* flag) {
+      return pcss::tools::flag_count("pcss_serve", flag, value(flag).c_str());
+    };
     if (arg == "--help" || arg == "-h") return usage(0);
     if (arg == "--config") {
       try {
@@ -117,24 +122,26 @@ int main(int argc, char** argv) {
         store_overridden = true;
       }
     } else if (arg == "--port") {
-      config.port = std::atoi(value("--port").c_str());
+      config.port = int_value("--port");
     } else if (arg == "--socket") {
       config.socket_path = value("--socket");
     } else if (arg == "--store") {
       store_root = value("--store");
       store_overridden = true;
     } else if (arg == "--workers") {
-      config.workers = std::atoi(value("--workers").c_str());
+      config.workers = int_value("--workers");
     } else if (arg == "--queue-depth") {
-      config.queue_depth = std::atoi(value("--queue-depth").c_str());
+      config.queue_depth = int_value("--queue-depth");
     } else if (arg == "--max-inflight") {
-      config.max_inflight_per_client = std::atoi(value("--max-inflight").c_str());
+      config.max_inflight_per_client = int_value("--max-inflight");
     } else if (arg == "--drain-grace") {
-      config.drain_grace_ms = std::atoll(value("--drain-grace").c_str());
+      config.drain_grace_ms = pcss::tools::flag_int("pcss_serve", "--drain-grace",
+                                                    value("--drain-grace").c_str(), 0,
+                                                    std::numeric_limits<long long>::max());
     } else if (arg == "--threads") {
-      builder.threads(std::atoi(value("--threads").c_str()));
+      builder.threads(int_value("--threads"));
     } else if (arg == "--shard-size") {
-      builder.shard_size(std::atoi(value("--shard-size").c_str()));
+      builder.shard_size(int_value("--shard-size"));
     } else if (arg == "--no-plan") {
       builder.plan(false);
     } else if (arg == "--fast") {

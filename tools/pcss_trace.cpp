@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "pcss/runner/json.h"
+#include "flag_int.h"
 
 namespace {
 
@@ -227,7 +228,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pcss_trace: --top needs a value\n");
         return 2;
       }
-      top_n = static_cast<std::size_t>(std::atoi(argv[++i]));
+      top_n = static_cast<std::size_t>(
+          pcss::tools::flag_count("pcss_trace", "--top", argv[++i]));
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: pcss_trace <trace.json> [--top N]\n");
       return 0;
