@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <condition_variable>
 #include <memory>
@@ -735,6 +736,24 @@ void count_fallback(Fallback reason) {
   (reason == Fallback::kEpoch ? epoch : uncapturable).add(1);
 }
 
+/// The histogram of captured plans' pinned memory,
+/// tensor.plan_arena_mb.<model>, where <model> is the model name's letters
+/// and digits in lower case ("resgcn"). Telemetry only (D006).
+obs::metrics::Histogram& plan_arena_mb(const SegmentationModel& model) {
+  static const std::vector<double> kBoundsMb = {0.25, 0.5, 1, 2, 4, 8, 16, 32, 64, 128, 256};
+  std::string tag;
+  for (const char ch : model.name()) {
+    const auto u = static_cast<unsigned char>(ch);
+    if (std::isalnum(u)) tag += static_cast<char>(std::tolower(u));
+  }
+  return obs::metrics::histogram("tensor.plan_arena_mb." + tag, kBoundsMb);
+}
+
+/// Records one captured plan's pinned bytes (values, grads, saved state).
+void observe_arena(obs::metrics::Histogram& arena_mb, const tplan::CompiledPlan& plan) {
+  arena_mb.observe(static_cast<double>(plan.pinned_bytes().total()) / (1024.0 * 1024.0));
+}
+
 std::string join_errors(const std::vector<std::string>& errors) {
   std::ostringstream os;
   os << "invalid AttackConfig:";
@@ -818,6 +837,7 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
   obs::metrics::Counter& steps_total = obs::metrics::counter("attack.steps");
   obs::metrics::Counter& plan_captures = obs::metrics::counter("plan.captures");
   obs::metrics::Counter& plan_replays = obs::metrics::counter("plan.replays");
+  obs::metrics::Histogram& arena_mb = plan_arena_mb(model_);
   obs::trace::ScopedSpan cloud_span(kCloudSpan);
 
   Rng rng(seed);
@@ -905,6 +925,7 @@ AttackResult AttackEngine::attack_cloud(const PointCloud& cloud, std::uint64_t s
         plan_logits = logits;
         plan_epoch = projection->plan_epoch();
         plan_captures.add(1);
+        observe_arena(arena_mb, plan);
       } else {
         // Uncapturable op in the graph (training-mode statistics, fresh
         // RNG state): stay eager for the rest of this run.
@@ -991,6 +1012,7 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
   obs::metrics::Counter& shared_steps = obs::metrics::counter("attack.shared.steps");
   obs::metrics::Counter& plan_captures = obs::metrics::counter("plan.captures");
   obs::metrics::Counter& plan_replays = obs::metrics::counter("plan.replays");
+  obs::metrics::Histogram& arena_mb = plan_arena_mb(model_);
   int step = 0;
   for (; step < config_.steps; ++step) {
     obs::trace::ScopedSpan round_span(kRoundSpan);
@@ -1026,6 +1048,7 @@ SharedDeltaResult AttackEngine::run_shared(std::span<const PointCloud> clouds,
         if (builder->finish(plan)) {
           plan_losses[ci] = loss;
           plan_captures.add(1);
+          observe_arena(arena_mb, plan);
         } else {
           plan_dead[ci] = 1;
           count_fallback(Fallback::kUncapturable);

@@ -24,7 +24,9 @@ using pcss::tensor::Rng;
 /// over the k dilated neighbors j of i. The edge Linear runs as
 /// ops::edge_linear: with W = [W_a; W_b] it computes h_i (W_a - W_b) and
 /// h_j W_b on the N point rows and adds them per edge (DGCNN's EdgeConv
-/// factorization), so no [N*k, 2C] edge tensor exists. The parameters
+/// factorization), so no [N*k, 2C] edge tensor exists. In eval mode the
+/// whole block aggregation (edge Linear, BN, ReLU, max) is one op,
+/// ops::edge_conv_eval, so no [N*k, C] tensor exists either. The parameters
 /// keep the plain Linear's names and layout (block<b>.lin0.weight is
 /// [2C, C], rows [W_a; W_b]), so a checkpoint computes the same
 /// function up to rounding.

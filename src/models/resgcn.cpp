@@ -45,9 +45,7 @@ Tensor ResGCNSeg::forward(const ModelInput& input, bool training) {
         std::min(1 + (b % config_.max_dilation), std::max(wide_k / k, 1));
     const auto idx = dilate_neighbors(wide_idx, n, k, dilation);
     Block& block = blocks_[static_cast<size_t>(b)];
-    Tensor edge = ops::edge_linear(h, block.lin0.weight(), block.lin0.bias(), idx, k);
-    Tensor msg = block.bn0.forward_relu(edge, training);
-    h = ops::add(ops::segment_max(msg, k), h);  // residual
+    h = ops::add(block.bn0.edge_conv(h, block.lin0, idx, k, training), h);  // residual
   }
   Tensor d = ops::dropout(h, config_.dropout, dropout_rng_, training);
   return head_.forward(d, training);

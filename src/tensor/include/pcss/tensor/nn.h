@@ -77,6 +77,12 @@ class BatchNorm1d : public Module {
   /// BN followed by ReLU; in eval mode the two run as one fused
   /// scale+shift+ReLU pass (bitwise-identical to the composition).
   Tensor forward_relu(const Tensor& x, bool training);
+  /// EdgeConv aggregation: max over each point's k edges of
+  /// forward_relu(ops::edge_linear(h, lin, idx, k)) -> [N, C]. Eval mode
+  /// runs it as one op (ops::edge_conv_eval, bitwise-identical); training
+  /// needs the batch statistics of all N*k edge rows, so it runs the chain.
+  Tensor edge_conv(const Tensor& h, const Linear& lin, const std::vector<std::int64_t>& idx,
+                   std::int64_t k, bool training);
 
   void collect_params(const std::string& prefix, std::vector<NamedParam>& out) override;
   void collect_buffers(const std::string& prefix, std::vector<NamedBuffer>& out) override;

@@ -97,6 +97,20 @@ Tensor scatter_add_cols(const Tensor& base, const Tensor& delta, std::int64_t co
 Tensor edge_linear(const Tensor& h, const Tensor& w, const Tensor& bias,
                    const std::vector<std::int64_t>& idx, std::int64_t k);
 
+/// Eval-mode EdgeConv block in one node: max over each point's k edges
+/// of the eval-mode BN + ReLU of its edge_linear row -> [N, M].
+/// Bitwise-identical, value and every gradient, to
+/// segment_max(bn_relu_eval(edge_linear(h, w, bias, idx, k), gamma, beta,
+/// running_mean, running_var, eps), k) while gamma, beta and the running
+/// statistics are finite (the value and dh for any h). Saves P, Q and the
+/// per-(point, channel) argmax instead of the three [N*k, M] tensors.
+Tensor edge_conv_eval(const Tensor& h, const Tensor& w, const Tensor& bias,
+                      const Tensor& gamma, const Tensor& beta,
+                      const std::vector<float>& running_mean,
+                      const std::vector<float>& running_var,
+                      const std::vector<std::int64_t>& idx, std::int64_t k,
+                      float eps = 1e-5f);
+
 /// Linear over rows that pair a per-row part with a gathered per-point
 /// part: row e is [x_e | h_{idx[e]}] * w + bias, with x [E, Cx], h [N, Ch],
 /// w = [w_x; w_h] [Cx + Ch, M] and bias [M] (or undefined) -> [E, M].

@@ -55,7 +55,15 @@ struct PlanStats {
   std::size_t backward_ops = 0;  ///< backward rules fired per step
   std::size_t grad_buffers = 0;  ///< gradient buffers zeroed per step
   std::size_t nodes = 0;         ///< retained graph nodes (incl. constants)
-  std::size_t arena_floats = 0;  ///< pinned value+gradient floats
+};
+
+/// Bytes a captured plan pins, by owner, summed over its retained nodes.
+/// Counts allocated capacity: a pooled buffer holds its whole size class.
+struct PlanBytes {
+  std::size_t values = 0;  ///< node value buffers
+  std::size_t grads = 0;   ///< gradient buffers
+  std::size_t saved = 0;   ///< BackwardCtx state: scratch, indices, labels, masks
+  std::size_t total() const { return values + grads + saved; }
 };
 
 /// One captured step: flat forward/backward schedules over pinned graph
@@ -84,6 +92,9 @@ class CompiledPlan {
   void replay_backward() const;
 
   PlanStats stats() const;
+  /// What the plan keeps alive between replays (telemetry:
+  /// tensor.plan_arena_mb.<model>).
+  PlanBytes pinned_bytes() const;
 
  private:
   friend class PlanBuilder;

@@ -146,6 +146,16 @@ struct Kernels {
                               const float* y, const float* x, const float* gamma,
                               const float* mean, const float* inv_std, std::int64_t n,
                               std::int64_t c);
+  /// Eval-mode EdgeConv aggregation over n groups of k edges, p and q
+  /// [n, c]: edge (i, r) has y = (p[i] + q[idx[i*k+r]]) + bias (bias may be
+  /// null: no add), v = relu(gamma * ((y - mean) * inv_std) + beta), and
+  /// out[i,j] = max_r v, arg[i,j] = the first r attaining it (as a float),
+  /// with segment_max's ascending strict-`>` scan. Every chain is
+  /// edge_linear's, bn_relu_eval's and segment_max's.
+  void (*edge_conv_max)(const float* p, const float* q, const float* bias,
+                        const std::int64_t* idx, const float* gamma, const float* beta,
+                        const float* mean, const float* inv_std, float* out, float* arg,
+                        std::int64_t n, std::int64_t k, std::int64_t c);
   /// Attentive pooling of n groups of k rows of g, s [n*k, c]:
   /// att = segment_softmax(s), out[i,j] = 0 + sum_r g[i*k+r,j] * att[i*k+r,j]
   /// (r ascending). att [n*k, c] receives the weights, out is [n, c]. Every

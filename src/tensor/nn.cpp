@@ -51,6 +51,18 @@ Tensor BatchNorm1d::forward_relu(const Tensor& x, bool training) {
   return ops::relu(forward(x, training));
 }
 
+Tensor BatchNorm1d::edge_conv(const Tensor& h, const Linear& lin,
+                              const std::vector<std::int64_t>& idx, std::int64_t k,
+                              bool training) {
+  if (!training) {
+    return ops::edge_conv_eval(h, lin.weight(), lin.bias(), gamma_, beta_, running_mean_,
+                               running_var_, idx, k, eps_);
+  }
+  return ops::segment_max(forward_relu(ops::edge_linear(h, lin.weight(), lin.bias(), idx, k),
+                                       training),
+                          k);
+}
+
 void BatchNorm1d::collect_params(const std::string& prefix, std::vector<NamedParam>& out) {
   out.push_back({prefix + "gamma", gamma_});
   out.push_back({prefix + "beta", beta_});

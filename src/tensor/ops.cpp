@@ -107,17 +107,16 @@ void note_gemm(std::int64_t n, std::int64_t k, std::int64_t m) {
 // ---------------------------------------------------------------------------
 
 /// C[n,k] += A[n,m] * B^T where B is [k,m]. B is packed (transposed) into
-/// a pooled [m,k] buffer once, turning the dot-product form into the same
-/// vectorizable panel kernel as gemm_nn.
+/// the caller's [m,k] scratch `bt`, turning the dot-product form into the
+/// same vectorizable panel kernel as gemm_nn. The scratch is node-owned
+/// (sized by the op's builder), so a replayed backward takes no pool buffer.
 void gemm_a_bt(const float* __restrict a, const float* __restrict b, float* __restrict c,
-               std::int64_t n, std::int64_t m, std::int64_t k) {
-  FloatBuffer bt = pool::acquire(static_cast<size_t>(m * k));
+               float* __restrict bt, std::int64_t n, std::int64_t m, std::int64_t k) {
   for (std::int64_t j = 0; j < k; ++j) {
-    for (std::int64_t p = 0; p < m; ++p) bt[static_cast<size_t>(p * k + j)] = b[j * m + p];
+    for (std::int64_t p = 0; p < m; ++p) bt[p * k + j] = b[j * m + p];
   }
   note_gemm(n, m, k);
-  simd::active().gemm_nn(a, bt.data(), c, n, m, k);
-  pool::release(std::move(bt));
+  simd::active().gemm_nn(a, bt, c, n, m, k);
 }
 
 void check_matrix(const Tensor& t, const char* name) {
@@ -214,7 +213,8 @@ void matmul_bw(TensorImpl& node) {
   if (pa->requires_grad) {
     pa->ensure_grad();
     // dA = dY * B^T
-    gemm_a_bt(node.grad.data(), pb->data.data(), pa->grad.data(), n, m, k);
+    gemm_a_bt(node.grad.data(), pb->data.data(), pa->grad.data(), node.ctx->fbuf.data(), n,
+              m, k);
   }
   if (pb->requires_grad) {
     pb->ensure_grad();
@@ -230,7 +230,8 @@ void linear_bw(TensorImpl& node) {
   const std::int64_t n = px->shape[0], k = px->shape[1], m = pw->shape[1];
   if (px->requires_grad) {
     px->ensure_grad();
-    gemm_a_bt(node.grad.data(), pw->data.data(), px->grad.data(), n, m, k);
+    gemm_a_bt(node.grad.data(), pw->data.data(), px->grad.data(), node.ctx->fbuf.data(), n,
+              m, k);
   }
   if (pw->requires_grad) {
     pw->ensure_grad();
@@ -605,41 +606,21 @@ void bn_relu_eval_bw(TensorImpl& node) {
                                      pg->data.data(), mean, inv_std, n, c);
 }
 
-/// Backward of edge_linear. dP (per-center sum of dy over its k rows) and
-/// dQ (dy scatter-added by idx) reuse the forward's P/Q scratch; then
-/// dh += dP * w_d^T + dQ * w_b^T through packed transposes,
-/// dw_a += h^T * dP and dw_b += h^T * (dQ - dP), db = column sum of dy.
-/// ctx.fbuf layout: [w_d (c*m) | w_d^T (m*c) | w_b^T (m*c) | P (n*m) | Q (n*m)].
-void edge_linear_bw(TensorImpl& node) {
+/// The GEMM half of edge_linear's backward, shared with edge_conv_eval:
+/// with dP and dQ in the P/Q scratch, dh += dP * w_d^T + dQ * w_b^T
+/// through packed transposes, dw_a += h^T * dP and dw_b += h^T * (dQ - dP).
+/// Scratch layout as in edge_products.
+void edge_products_bw(TensorImpl& node) {
   const simd::Kernels& K = simd::active();
   TensorImpl* ph = parent(node, 0);
   TensorImpl* pw = parent(node, 1);
   const std::int64_t n = ph->shape[0], c = ph->shape[1], m = node.shape[1];
-  const std::int64_t k = node.op_i0;
-  const float* dy = node.grad.data();
-  if (node.parents.size() > 2) {
-    TensorImpl* pbias = parent(node, 2);
-    if (pbias->requires_grad) {
-      pbias->ensure_grad();
-      K.acc_col_sum(pbias->grad.data(), dy, n * k, m);
-    }
-  }
-  if (!ph->requires_grad && !pw->requires_grad) return;
+  const float* wd = node.ctx->fbuf.data();
   float* wdt = node.ctx->fbuf.data() + c * m;
   float* wbt = wdt + m * c;
   float* dp = wbt + m * c;
   float* dq = dp + n * m;
-  const std::int64_t* idx = node.ctx->ibuf.data();
-  std::fill(dp, dp + 2 * n * m, 0.0f);
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t r = 0; r < k; ++r) {
-      const float* g = dy + (i * k + r) * m;
-      K.acc_add(dp + i * m, g, static_cast<size_t>(m));
-      K.acc_add(dq + idx[i * k + r] * m, g, static_cast<size_t>(m));
-    }
-  }
   const float* h = ph->data.data();
-  const float* wd = node.ctx->fbuf.data();
   const float* wb = pw->data.data() + c * m;
   if (ph->requires_grad) {
     ph->ensure_grad();
@@ -662,6 +643,110 @@ void edge_linear_bw(TensorImpl& node) {
     note_gemm(n, c, m);
     K.gemm_at_b(h, dq, pw->grad.data() + c * m, n, c, m);
   }
+}
+
+/// Backward of edge_linear: dP (per-center sum of dy over its k rows) and
+/// dQ (dy scatter-added by idx) go into the forward's P/Q scratch, db is
+/// the column sum of dy, and edge_products_bw does the rest.
+void edge_linear_bw(TensorImpl& node) {
+  const simd::Kernels& K = simd::active();
+  TensorImpl* ph = parent(node, 0);
+  TensorImpl* pw = parent(node, 1);
+  const std::int64_t n = ph->shape[0], c = ph->shape[1], m = node.shape[1];
+  const std::int64_t k = node.op_i0;
+  const float* dy = node.grad.data();
+  if (node.parents.size() > 2) {
+    TensorImpl* pbias = parent(node, 2);
+    if (pbias->requires_grad) {
+      pbias->ensure_grad();
+      K.acc_col_sum(pbias->grad.data(), dy, n * k, m);
+    }
+  }
+  if (!ph->requires_grad && !pw->requires_grad) return;
+  float* dp = node.ctx->fbuf.data() + 3 * c * m;
+  float* dq = dp + n * m;
+  const std::int64_t* idx = node.ctx->ibuf.data();
+  std::fill(dp, dp + 2 * n * m, 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t r = 0; r < k; ++r) {
+      const float* g = dy + (i * k + r) * m;
+      K.acc_add(dp + i * m, g, static_cast<size_t>(m));
+      K.acc_add(dq + idx[i * k + r] * m, g, static_cast<size_t>(m));
+    }
+  }
+  edge_products_bw(node);
+}
+
+/// Backward of edge_conv_eval. Only the argmax edge of an (i, t) with
+/// out > 0 carries a gradient: along every other edge the chain it fuses
+/// (segment_max, bn_relu_eval and edge_linear backwards) adds exact zeros
+/// to every sum, which leaves the sum unchanged. So dgamma and dbeta take
+/// that edge's bn_relu_eval terms, reading y = (P[i] + Q[j]) + b back from
+/// the scratch; then d = (g * gamma) * inv_std goes to dP[i] and to
+/// dQ[j] in the chain's (i, r) order (overwriting P and Q), db is dP's
+/// column sum, and edge_products_bw does the rest. ctx.fbuf layout:
+/// [edge_products' (3*c*m + 2*n*m) | arg (n*m) | mean (m) | inv_std (m)].
+void edge_conv_eval_bw(TensorImpl& node) {
+  TensorImpl* ph = parent(node, 0);
+  TensorImpl* pw = parent(node, 1);
+  TensorImpl* pg = parent(node, 2);
+  TensorImpl* pbeta = parent(node, 3);
+  TensorImpl* pbias = node.parents.size() > 4 ? parent(node, 4) : nullptr;
+  const std::int64_t n = node.shape[0], c = ph->shape[1], m = node.shape[1];
+  const std::int64_t k = node.op_i0;
+  float* p = node.ctx->fbuf.data() + 3 * c * m;
+  float* q = p + n * m;
+  const float* arg = q + n * m;
+  const float* mean = arg + n * m;
+  const float* inv_std = mean + m;
+  const std::int64_t* idx = node.ctx->ibuf.data();
+  const float* out = node.data.data();
+  const float* g = node.grad.data();
+  const float* gamma = pg->data.data();
+  // The neighbor row of (i, t)'s argmax edge.
+  auto source = [&](std::int64_t i, std::int64_t t) {
+    return idx[i * k + static_cast<std::int64_t>(arg[i * m + t])];
+  };
+  if (pg->requires_grad || pbeta->requires_grad) {
+    float* dgamma = nullptr;
+    float* dbeta = nullptr;
+    if (pg->requires_grad) {
+      pg->ensure_grad();
+      dgamma = pg->grad.data();
+    }
+    if (pbeta->requires_grad) {
+      pbeta->ensure_grad();
+      dbeta = pbeta->grad.data();
+    }
+    const float* bias = pbias != nullptr ? pbias->data.data() : nullptr;
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t t = 0; t < m; ++t) {
+        const std::int64_t e = i * m + t;
+        if (!(out[e] > 0.0f)) continue;
+        float y = p[e] + q[source(i, t) * m + t];
+        if (bias != nullptr) y = y + bias[t];
+        if (dgamma != nullptr) dgamma[t] += g[e] * ((y - mean[t]) * inv_std[t]);
+        if (dbeta != nullptr) dbeta[t] += g[e];
+      }
+    }
+  }
+  const bool bias_grad = pbias != nullptr && pbias->requires_grad;
+  if (!ph->requires_grad && !pw->requires_grad && !bias_grad) return;
+  std::fill(p, p + 2 * n * m, 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t t = 0; t < m; ++t) {
+      const std::int64_t e = i * m + t;
+      if (!(out[e] > 0.0f)) continue;
+      const float d = (g[e] * gamma[t]) * inv_std[t];
+      p[e] += d;
+      q[source(i, t) * m + t] += d;
+    }
+  }
+  if (bias_grad) {
+    pbias->ensure_grad();
+    simd::active().acc_col_sum(pbias->grad.data(), p, n, m);
+  }
+  edge_products_bw(node);
 }
 
 /// Backward of neighbor_linear, with w = [w_x; w_h]: dx += dy * w_x^T,
@@ -1016,24 +1101,35 @@ void scatter_add_cols_fwd(TensorImpl& node) {
   }
 }
 
-void edge_linear_fwd(TensorImpl& node) {
-  // w_d = w_a - w_b is recomputed from the live weights on every forward,
-  // so a replay after a weight update stays exact.
+/// The point-row half of edge_linear's forward, shared with
+/// edge_conv_eval: w_d = w_a - w_b, P = h * w_d and Q = h * w_b into the
+/// node's scratch, laid out [w_d (c*m) | w_d^T (m*c) | w_b^T (m*c) |
+/// P (n*m) | Q (n*m)] (the transposes are the backward's). w_d is
+/// recomputed from the live weights on every forward, so a replay after a
+/// weight update stays exact.
+void edge_products(TensorImpl& node) {
   const simd::Kernels& K = simd::active();
   TensorImpl* ph = parent(node, 0);
   const std::int64_t n = ph->shape[0], c = ph->shape[1], m = node.shape[1];
-  const std::int64_t k = node.op_i0;
   const float* h = ph->data.data();
   const float* wa = parent(node, 1)->data.data();
   const float* wb = wa + c * m;
   float* wd = node.ctx->fbuf.data();
   float* p = wd + 3 * c * m;
-  float* q = p + n * m;
   K.ew_sub(wa, wb, wd, static_cast<size_t>(c * m));
   note_gemm(n, c, m);
   K.gemm_nn_init(h, wd, p, n, c, m);
   note_gemm(n, c, m);
-  K.gemm_nn_init(h, wb, q, n, c, m);
+  K.gemm_nn_init(h, wb, p + n * m, n, c, m);
+}
+
+void edge_linear_fwd(TensorImpl& node) {
+  edge_products(node);
+  const std::int64_t n = parent(node, 0)->shape[0], c = parent(node, 0)->shape[1];
+  const std::int64_t m = node.shape[1];
+  const std::int64_t k = node.op_i0;
+  const float* p = node.ctx->fbuf.data() + 3 * c * m;
+  const float* q = p + n * m;
   const std::int64_t* idx = node.ctx->ibuf.data();
   float* y = node.data.data();
   for (std::int64_t i = 0; i < n; ++i) {
@@ -1045,8 +1141,24 @@ void edge_linear_fwd(TensorImpl& node) {
     }
   }
   if (node.parents.size() > 2) {
-    K.add_rowvec(y, parent(node, 2)->data.data(), y, n * k, m);
+    simd::active().add_rowvec(y, parent(node, 2)->data.data(), y, n * k, m);
   }
+}
+
+void edge_conv_eval_fwd(TensorImpl& node) {
+  // The argmax is value-dependent saved state, rewritten alongside the
+  // values; mean and inv_std are frozen (eval-mode BN), cached at build.
+  edge_products(node);
+  const std::int64_t n = node.shape[0], c = parent(node, 0)->shape[1];
+  const std::int64_t m = node.shape[1];
+  float* p = node.ctx->fbuf.data() + 3 * c * m;
+  float* q = p + n * m;
+  float* arg = q + n * m;
+  const float* mean = arg + n * m;
+  const float* bias = node.parents.size() > 4 ? parent(node, 4)->data.data() : nullptr;
+  simd::active().edge_conv_max(p, q, bias, node.ctx->ibuf.data(), parent(node, 2)->data.data(),
+                               parent(node, 3)->data.data(), mean, mean + m,
+                               node.data.data(), arg, n, node.op_i0, m);
 }
 
 void neighbor_linear_fwd(TensorImpl& node) {
@@ -1268,13 +1380,27 @@ Tensor add_rowvec(const Tensor& x, const Tensor& bias) {
 // Linear algebra
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The packed-transpose scratch of gemm_a_bt, which the backward of
+/// a * b runs only when `a` needs a gradient: ctx.fbuf sized for b^T, or
+/// no ctx at all.
+std::unique_ptr<BackwardCtx> transpose_scratch(const Tensor& a, const Tensor& b) {
+  if (!a.requires_grad()) return nullptr;
+  auto ctx = std::make_unique<BackwardCtx>();
+  ctx->fbuf = pool::acquire(static_cast<size_t>(b.numel()));
+  return ctx;
+}
+
+}  // namespace
+
 Tensor matmul(const Tensor& a, const Tensor& b) {
   check_matrix(a, "matmul");
   check_matrix(b, "matmul");
   check(a.dim(1) == b.dim(0), "matmul: inner dimensions differ: " + shape_str(a.shape()) +
                                   " x " + shape_str(b.shape()));
   return make_node({a.dim(0), b.dim(1)}, {a.impl(), b.impl()}, matmul_bw,
-                   {.fwd = matmul_fwd});
+                   {.ctx = transpose_scratch(a, b), .fwd = matmul_fwd});
 }
 
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
@@ -1288,7 +1414,7 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& bias) {
     parents.push_back(bias.impl());
   }
   return make_node({x.dim(0), w.dim(1)}, std::move(parents), linear_bw,
-                   {.fwd = linear_fwd});
+                   {.ctx = transpose_scratch(x, w), .fwd = linear_fwd});
 }
 
 // ---------------------------------------------------------------------------
@@ -1441,29 +1567,88 @@ Tensor scatter_add_cols(const Tensor& base, const Tensor& delta, std::int64_t co
 // Fused model-block ops
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Validation shared by edge_linear and edge_conv_eval: h [N, C],
+/// w [2C, M], N*k neighbor indices in [0, N), bias [M] or undefined.
+void check_edge_linear(const Tensor& h, const Tensor& w, const Tensor& bias,
+                       const std::vector<std::int64_t>& idx, std::int64_t k,
+                       const std::string& name) {
+  check_matrix(h, name.c_str());
+  check_matrix(w, name.c_str());
+  const std::int64_t n = h.dim(0);
+  check(w.dim(0) == 2 * h.dim(1), name + ": weight must be [2C, M] for h [N, C]");
+  check(k > 0 && static_cast<std::int64_t>(idx.size()) == n * k,
+        name + ": idx must have N*k entries");
+  for (const std::int64_t j : idx) {
+    if (j < 0 || j >= n) tensor_fail(name + ": index out of range");
+  }
+  check(!bias.defined() || bias.numel() == w.dim(1),
+        name + ": bias size must equal output width");
+}
+
+/// Validation shared by bn_relu_eval and edge_conv_eval: affine parameters
+/// and running statistics of width c.
+void check_bn_eval(const Tensor& gamma, const Tensor& beta,
+                   const std::vector<float>& running_mean,
+                   const std::vector<float>& running_var, std::int64_t c,
+                   const std::string& name) {
+  check(gamma.defined() && beta.defined() && gamma.numel() == c && beta.numel() == c,
+        name + ": affine parameter size");
+  check(static_cast<std::int64_t>(running_mean.size()) == c &&
+            static_cast<std::int64_t>(running_var.size()) == c,
+        name + ": running stats size");
+}
+
+/// Eval-mode BN's frozen per-channel statistics: mean[j] and, at
+/// mean + c, inv_std[j] = 1 / sqrt(var[j] + eps).
+void bn_eval_stats(const std::vector<float>& running_mean,
+                   const std::vector<float>& running_var, float eps, float* mean) {
+  const size_t c = running_mean.size();
+  for (size_t j = 0; j < c; ++j) {
+    mean[j] = running_mean[j];
+    mean[c + j] = 1.0f / std::sqrt(running_var[j] + eps);
+  }
+}
+
+}  // namespace
+
 Tensor edge_linear(const Tensor& h, const Tensor& w, const Tensor& bias,
                    const std::vector<std::int64_t>& idx, std::int64_t k) {
-  check_matrix(h, "edge_linear");
-  check_matrix(w, "edge_linear");
+  check_edge_linear(h, w, bias, idx, k, "edge_linear");
   const std::int64_t n = h.dim(0), c = h.dim(1), m = w.dim(1);
-  check(w.dim(0) == 2 * c, "edge_linear: weight must be [2C, M] for h [N, C]");
-  check(k > 0 && static_cast<std::int64_t>(idx.size()) == n * k,
-        "edge_linear: idx must have N*k entries");
-  for (const std::int64_t j : idx) {
-    if (j < 0 || j >= n) tensor_fail("edge_linear: index out of range");
-  }
   std::vector<TensorImplPtr> parents{h.impl(), w.impl()};
-  if (bias.defined()) {
-    check(bias.numel() == m, "edge_linear: bias size must equal output width");
-    parents.push_back(bias.impl());
-  }
+  if (bias.defined()) parents.push_back(bias.impl());
   // Scratch sized here, so a replay takes no pool buffers; layout as in
-  // edge_linear_bw.
+  // edge_products.
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->ibuf = idx;
   ctx->fbuf = pool::acquire(static_cast<size_t>(3 * c * m + 2 * n * m));
   return make_node({n * k, m}, std::move(parents), edge_linear_bw,
                    {.i0 = k, .ctx = std::move(ctx), .fwd = edge_linear_fwd});
+}
+
+Tensor edge_conv_eval(const Tensor& h, const Tensor& w, const Tensor& bias,
+                      const Tensor& gamma, const Tensor& beta,
+                      const std::vector<float>& running_mean,
+                      const std::vector<float>& running_var,
+                      const std::vector<std::int64_t>& idx, std::int64_t k, float eps) {
+  check_edge_linear(h, w, bias, idx, k, "edge_conv_eval");
+  const std::int64_t n = h.dim(0), c = h.dim(1), m = w.dim(1);
+  check_bn_eval(gamma, beta, running_mean, running_var, m, "edge_conv_eval");
+  // The argmax r is saved as a float, exact up to 2^24.
+  check(k <= (std::int64_t{1} << 24), "edge_conv_eval: k must be at most 2^24");
+  std::vector<TensorImplPtr> parents{h.impl(), w.impl(), gamma.impl(), beta.impl()};
+  if (bias.defined()) parents.push_back(bias.impl());
+  // Scratch sized here, so a replay takes no pool buffers; layout as in
+  // edge_conv_eval_bw.
+  auto ctx = std::make_unique<BackwardCtx>();
+  ctx->ibuf = idx;
+  ctx->fbuf = pool::acquire(static_cast<size_t>(3 * c * m + 3 * n * m + 2 * m));
+  bn_eval_stats(running_mean, running_var, eps,
+                ctx->fbuf.data() + 3 * c * m + 3 * n * m);
+  return make_node({n, m}, std::move(parents), edge_conv_eval_bw,
+                   {.i0 = k, .ctx = std::move(ctx), .fwd = edge_conv_eval_fwd});
 }
 
 Tensor neighbor_linear(const Tensor& x, const Tensor& h, const Tensor& w, const Tensor& bias,
@@ -1698,19 +1883,11 @@ Tensor bn_relu_eval(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                     const std::vector<float>& running_var, float eps) {
   check_matrix(x, "bn_relu_eval");
   const std::int64_t c = x.dim(1);
-  check(gamma.numel() == c && beta.numel() == c, "bn_relu_eval: affine parameter size");
-  check(static_cast<std::int64_t>(running_mean.size()) == c &&
-            static_cast<std::int64_t>(running_var.size()) == c,
-        "bn_relu_eval: running stats size");
+  check_bn_eval(gamma, beta, running_mean, running_var, c, "bn_relu_eval");
   // ctx.fbuf layout: [mean (c) | inv_std (c)].
   auto ctx = std::make_unique<BackwardCtx>();
   ctx->fbuf = pool::acquire(static_cast<size_t>(2 * c));
-  float* mean = ctx->fbuf.data();
-  float* inv_std = mean + c;
-  for (std::int64_t j = 0; j < c; ++j) {
-    mean[j] = running_mean[j];
-    inv_std[j] = 1.0f / std::sqrt(running_var[j] + eps);
-  }
+  bn_eval_stats(running_mean, running_var, eps, ctx->fbuf.data());
   return make_node(x.shape(), {x.impl(), gamma.impl(), beta.impl()}, bn_relu_eval_bw,
                    {.ctx = std::move(ctx), .fwd = bn_relu_eval_fwd});
 }

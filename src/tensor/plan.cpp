@@ -83,11 +83,21 @@ PlanStats CompiledPlan::stats() const {
   s.backward_ops = backward_.size();
   s.grad_buffers = zeroed_.size();
   s.nodes = keep_.size();
-  for (const TensorImplPtr& node : keep_) {
-    s.arena_floats += node->data.size() + node->grad.size();
-    if (node->ctx) s.arena_floats += node->ctx->fbuf.size();
-  }
   return s;
+}
+
+PlanBytes CompiledPlan::pinned_bytes() const {
+  PlanBytes b;
+  for (const TensorImplPtr& node : keep_) {
+    b.values += node->data.capacity() * sizeof(float);
+    b.grads += node->grad.capacity() * sizeof(float);
+    if (const BackwardCtx* ctx = node->ctx.get()) {
+      b.saved += ctx->fbuf.capacity() * sizeof(float) +
+                 ctx->ibuf.capacity() * sizeof(std::int64_t) +
+                 ctx->labels.capacity() * sizeof(int) + ctx->mask.capacity();
+    }
+  }
+  return b;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -92,6 +93,18 @@ void read_blob(Reader& reader, const std::string& expected_name,
   std::memcpy(staged.data(), reader.take(static_cast<std::size_t>(count) * sizeof(float),
                                          ("tensor '" + name + "'").c_str()),
               static_cast<std::size_t>(count) * sizeof(float));
+  // A NaN or infinite weight, or a negative batch-norm variance (whose
+  // 1/sqrt(var + eps) is NaN in eval mode), would load silently and turn
+  // every logit into NaN.
+  const bool variance = name.ends_with("running_var");
+  for (std::size_t i = 0; i < staged.size(); ++i) {
+    const float v = staged[i];
+    if (!std::isfinite(v) || (variance && v < 0.0f)) {
+      reader.fail("corrupt: tensor '" + name + "' element " + std::to_string(i) + " is " +
+                  (std::isfinite(v) ? "a negative variance" : "not finite") + " (" +
+                  std::to_string(v) + ")");
+    }
+  }
 }
 
 }  // namespace

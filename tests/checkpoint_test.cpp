@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -29,13 +31,48 @@ std::unique_ptr<pcss::models::ResGCNSeg> tiny_model(std::uint64_t init_seed) {
   return std::make_unique<pcss::models::ResGCNSeg>(config, init);
 }
 
-std::vector<float> flatten_params(pcss::models::SegmentationModel& model) {
+/// Every parameter and buffer value of the model, in checkpoint order.
+std::vector<float> flatten_values(pcss::models::SegmentationModel& model) {
   std::vector<float> out;
   for (auto& p : model.named_params()) {
     const float* data = p.tensor.data();
     out.insert(out.end(), data, data + p.tensor.numel());
   }
+  for (auto& b : model.named_buffers()) out.insert(out.end(), b.values->begin(), b.values->end());
   return out;
+}
+
+/// Byte offset of element `index` of tensor `name` in checkpoint bytes:
+/// magic (8), version (4), then the parameter and the buffer sections,
+/// each a u64 count of (u32 name length, name, u64 count, floats) blobs.
+std::size_t float_offset(const std::string& bytes, const std::string& name,
+                         std::size_t index) {
+  std::size_t at = 12;
+  for (int section = 0; section < 2; ++section) {
+    std::uint64_t blobs = 0;
+    std::memcpy(&blobs, bytes.data() + at, sizeof(blobs));
+    at += sizeof(blobs);
+    for (std::uint64_t b = 0; b < blobs; ++b) {
+      std::uint32_t len = 0;
+      std::memcpy(&len, bytes.data() + at, sizeof(len));
+      const std::string blob_name = bytes.substr(at + sizeof(len), len);
+      at += sizeof(len) + len;
+      std::uint64_t count = 0;
+      std::memcpy(&count, bytes.data() + at, sizeof(count));
+      at += sizeof(count);
+      if (blob_name == name) return at + index * sizeof(float);
+      at += count * sizeof(float);
+    }
+  }
+  ADD_FAILURE() << "no tensor " << name;
+  return 0;
+}
+
+/// `bytes` with element `index` of tensor `name` replaced by `value`.
+std::string with_float(std::string bytes, const std::string& name, std::size_t index,
+                       float value) {
+  std::memcpy(bytes.data() + float_offset(bytes, name, index), &value, sizeof(value));
+  return bytes;
 }
 
 std::string read_file(const std::string& path) {
@@ -72,7 +109,7 @@ class CheckpointFixture : public ::testing::Test {
     const std::string bad_path = dir_ + "/bad.ckpt";
     write_file(bad_path, bytes);
     auto target = tiny_model(52);
-    const std::vector<float> before = flatten_params(*target);
+    const std::vector<float> before = flatten_values(*target);
     try {
       pcss::train::load_checkpoint(*target, bad_path);
       FAIL() << "load_checkpoint accepted a malformed file";
@@ -83,7 +120,7 @@ class CheckpointFixture : public ::testing::Test {
       EXPECT_NE(message.find(expected_fragment), std::string::npos)
           << "message '" << message << "' lacks '" << expected_fragment << "'";
     }
-    EXPECT_EQ(flatten_params(*target), before)
+    EXPECT_EQ(flatten_values(*target), before)
         << "failed load must not partially mutate the model";
   }
 
@@ -95,9 +132,9 @@ class CheckpointFixture : public ::testing::Test {
 
 TEST_F(CheckpointFixture, RoundTripRestoresParameters) {
   auto restored = tiny_model(52);
-  ASSERT_NE(flatten_params(*source_), flatten_params(*restored));
+  ASSERT_NE(flatten_values(*source_), flatten_values(*restored));
   pcss::train::load_checkpoint(*restored, path_);
-  EXPECT_EQ(flatten_params(*source_), flatten_params(*restored));
+  EXPECT_EQ(flatten_values(*source_), flatten_values(*restored));
 }
 
 TEST_F(CheckpointFixture, TruncatedFileRejectedWithoutPartialLoad) {
@@ -128,6 +165,28 @@ TEST_F(CheckpointFixture, GarbageNameLengthRejected) {
 
 TEST_F(CheckpointFixture, TrailingGarbageRejected) {
   expect_rejected(bytes_ + std::string(4, '\0'), "trailing bytes");
+}
+
+TEST_F(CheckpointFixture, NonFiniteValuesAndNegativeVarianceRejected) {
+  // One hand-corrupted copy per defect; each names the tensor and leaves
+  // the model as it was. The staging pass checks values before any copy.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  expect_rejected(with_float(bytes_, "block0.lin0.weight", 3, nan),
+                  "tensor 'block0.lin0.weight' element 3 is not finite");
+  expect_rejected(with_float(bytes_, "head.lin1.bias", 0, inf),
+                  "tensor 'head.lin1.bias' element 0 is not finite");
+  expect_rejected(with_float(bytes_, "stem.bn0.running_mean", 2, -inf),
+                  "tensor 'stem.bn0.running_mean' element 2 is not finite");
+  expect_rejected(with_float(bytes_, "block0.bn0.running_var", 1, -0.5f),
+                  "tensor 'block0.bn0.running_var' element 1 is a negative variance");
+  // The checks are the defects' alone: a negative mean and a zero
+  // variance are legitimate.
+  const std::string fine = with_float(with_float(bytes_, "block0.bn0.running_mean", 0, -3.0f),
+                                      "block0.bn0.running_var", 0, 0.0f);
+  write_file(dir_ + "/fine.ckpt", fine);
+  auto target = tiny_model(52);
+  EXPECT_NO_THROW(pcss::train::load_checkpoint(*target, dir_ + "/fine.ckpt"));
 }
 
 TEST_F(CheckpointFixture, MissingFileNamesPath) {

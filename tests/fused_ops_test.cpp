@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -163,6 +165,103 @@ TEST(FusedOps, EdgeLinearMatchesEdgeAssemblyThenLinear) {
         return ops::sum(ops::square(ops::edge_linear(hg, wg, b, idx, k)));
       },
       {m}, bv);
+}
+
+bool same_bits(const float* a, const float* b, size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// edge_conv_eval fuses ResGCN's eval-mode block aggregation and promises
+// bit identity with the chain, value and every gradient: h, W (both
+// halves), b, gamma and beta. The inputs force tied maxima (duplicate
+// neighbor indices, duplicate point rows), a channel whose messages are
+// all non-positive (beta far below zero: every max is a tie at 0), and
+// negative gammas. Params with and without gradients cover the attack's
+// dx-only backward and the all-grads one.
+TEST(FusedOps, EdgeConvEvalMatchesChain) {
+  Rng rng(131);
+  const std::int64_t n = 14, c = 6;
+  for (const std::int64_t k : {1, 3, 12}) {
+    for (const std::int64_t m : {1, 7, 8, 9, 12, 32}) {
+      std::vector<std::int64_t> idx(static_cast<size_t>(n * k));
+      for (auto& j : idx) j = static_cast<std::int64_t>(rng.uniform(0.0f, 1.0f) * n) % n;
+      for (std::int64_t i = 0; i + 1 < n && k > 1; i += 2) idx[i * k + 1] = idx[i * k];
+      auto hv = random_values(n * c, rng);
+      std::copy_n(hv.begin() + 3 * c, c, hv.begin() + 4 * c);  // rows 3 and 4 tie
+      const auto wv = random_values(2 * c * m, rng), bv = random_values(m, rng);
+      auto gammav = random_values(m, rng, -1.5f, 1.5f);
+      auto betav = random_values(m, rng);
+      betav[0] = -1e4f;
+      const auto gv = random_values(n * m, rng, -2.0f, 2.0f);
+      const std::vector<float> rm = random_values(m, rng);
+      const std::vector<float> rv = random_values(m, rng, 0.2f, 2.0f);
+      for (const bool with_bias : {true, false}) {
+        for (const bool param_grads : {true, false}) {
+          auto make = [&](const Shape& shape, const std::vector<float>& v, bool grad) {
+            Tensor t = Tensor::from_data(shape, v);
+            t.set_requires_grad(grad);
+            return t;
+          };
+          Tensor h1 = make({n, c}, hv, true), w1 = make({2 * c, m}, wv, param_grads),
+                 b1 = make({m}, bv, param_grads), g1 = make({m}, gammav, param_grads),
+                 be1 = make({m}, betav, param_grads);
+          Tensor h2 = make({n, c}, hv, true), w2 = make({2 * c, m}, wv, param_grads),
+                 b2 = make({m}, bv, param_grads), g2 = make({m}, gammav, param_grads),
+                 be2 = make({m}, betav, param_grads);
+          const Tensor fused = ops::edge_conv_eval(h1, w1, with_bias ? b1 : Tensor(), g1,
+                                                   be1, rm, rv, idx, k);
+          const Tensor chain = ops::segment_max(
+              ops::bn_relu_eval(ops::edge_linear(h2, w2, with_bias ? b2 : Tensor(), idx, k),
+                                g2, be2, rm, rv),
+              k);
+          ASSERT_EQ(fused.shape(), chain.shape());
+          const std::string where = "k=" + std::to_string(k) + " m=" + std::to_string(m) +
+                                    " bias=" + std::to_string(with_bias) +
+                                    " param_grads=" + std::to_string(param_grads);
+          EXPECT_TRUE(same_bits(fused.data(), chain.data(), static_cast<size_t>(n * m)))
+              << "value, " << where;
+          const Tensor g = Tensor::from_data({n, m}, gv);
+          ops::sum(ops::mul(fused, g)).backward();
+          ops::sum(ops::mul(chain, g)).backward();
+          std::vector<std::pair<Tensor, Tensor>> pairs{{h1, h2}};
+          if (param_grads) {
+            pairs.insert(pairs.end(), {{w1, w2}, {g1, g2}, {be1, be2}});
+            if (with_bias) pairs.emplace_back(b1, b2);
+          }
+          for (size_t p = 0; p < pairs.size(); ++p) {
+            const auto& [f, u] = pairs[p];
+            ASSERT_EQ(f.grad().size(), u.grad().size()) << "leaf " << p << ", " << where;
+            EXPECT_TRUE(same_bits(f.grad().data(), u.grad().data(), f.grad().size()))
+                << "gradient of leaf " << p << ", " << where;
+          }
+          if (!with_bias || !param_grads) {
+            EXPECT_TRUE(b1.grad().empty()) << where;
+          }
+        }
+      }
+    }
+  }
+
+  // Finite differences, away from ties and the ReLU kink.
+  const std::int64_t n2 = 5, c2 = 3, k2 = 3, m2 = 4;
+  const std::vector<std::int64_t> idx{1, 2, 3, 0, 4, 2, 3, 1, 0, 2, 4, 1, 0, 3, 4};
+  const auto hv = random_values(n2 * c2, rng), wv = random_values(2 * c2 * m2, rng),
+             bv = random_values(m2, rng), gammav = random_values(m2, rng, 0.5f, 1.5f),
+             betav = random_values(m2, rng, 0.5f, 1.0f);
+  const std::vector<float> rm = random_values(m2, rng), rv = random_values(m2, rng, 0.5f, 1.5f);
+  const Tensor hg = Tensor::from_data({n2, c2}, hv), wg = Tensor::from_data({2 * c2, m2}, wv),
+               bg = Tensor::from_data({m2}, bv), gg = Tensor::from_data({m2}, gammav),
+               beg = Tensor::from_data({m2}, betav);
+  auto loss = [&](const Tensor& h, const Tensor& w, const Tensor& b, const Tensor& gamma,
+                  const Tensor& beta) {
+    return ops::sum(ops::square(ops::edge_conv_eval(h, w, b, gamma, beta, rm, rv, idx, k2)));
+  };
+  expect_gradcheck([&](const Tensor& h) { return loss(h, wg, bg, gg, beg); }, {n2, c2}, hv);
+  expect_gradcheck([&](const Tensor& w) { return loss(hg, w, bg, gg, beg); }, {2 * c2, m2},
+                   wv);
+  expect_gradcheck([&](const Tensor& b) { return loss(hg, wg, b, gg, beg); }, {m2}, bv);
+  expect_gradcheck([&](const Tensor& g) { return loss(hg, wg, bg, g, beg); }, {m2}, gammav);
+  expect_gradcheck([&](const Tensor& be) { return loss(hg, wg, bg, gg, be); }, {m2}, betav);
 }
 
 // neighbor_linear runs the gathered half of its Linear on point rows, so

@@ -95,6 +95,10 @@ TEST(TensorExtras, HostileIndicesThrowBeforeTheForwardReads) {
     EXPECT_THROW(ops::edge_linear(x, Tensor::zeros({6, 2}), Tensor::zeros({2}),
                                   {0, 1, 2, 3, 0, 1, 2, bad}, 2),
                  std::runtime_error);
+    EXPECT_THROW(ops::edge_conv_eval(x, Tensor::zeros({6, 2}), Tensor::zeros({2}),
+                                     Tensor::zeros({2}), Tensor::zeros({2}), {0.0f, 0.0f},
+                                     {1.0f, 1.0f}, {0, 1, 2, 3, 0, 1, 2, bad}, 2),
+                 std::runtime_error);
     EXPECT_THROW(ops::neighbor_linear(Tensor::zeros({2, 1}), x, Tensor::zeros({4, 2}),
                                       Tensor::zeros({2}), {0, bad}),
                  std::runtime_error);
@@ -121,6 +125,14 @@ TEST(TensorExtras, SegmentOpsRejectBadK) {
   EXPECT_THROW(ops::attentive_pool(x, x, 4), std::runtime_error);
   EXPECT_THROW(ops::attentive_pool(x, x, 0), std::runtime_error);
   EXPECT_THROW(ops::attentive_pool(x, Tensor::zeros({6, 3}), 3), std::runtime_error);
+  // edge_conv_eval's k is its group width: positive, N*k neighbor indices.
+  const Tensor h = Tensor::zeros({3, 2});
+  const Tensor w = Tensor::zeros({4, 2}), v = Tensor::zeros({2});
+  const std::vector<float> mean{0.0f, 0.0f}, var{1.0f, 1.0f};
+  EXPECT_THROW(ops::edge_conv_eval(h, w, v, v, v, mean, var, {}, 0), std::runtime_error);
+  EXPECT_THROW(ops::edge_conv_eval(h, w, v, v, v, mean, var, {0, 1, 2, 0, 1}, 2),
+               std::runtime_error);
+  EXPECT_NO_THROW(ops::edge_conv_eval(h, w, v, v, v, mean, var, {0, 1, 2, 0, 1, 2}, 2));
 }
 
 // --- model zoo ---------------------------------------------------------------

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "pcss/data/indoor.h"
 #include "pcss/models/assembler.h"
@@ -11,6 +15,7 @@
 #include "pcss/models/pointnet2.h"
 #include "pcss/models/randlanet.h"
 #include "pcss/models/resgcn.h"
+#include "pcss/pointcloud/knn.h"
 #include "pcss/tensor/ops.h"
 #include "pcss/tensor/optim.h"
 #include "pcss/train/checkpoint.h"
@@ -318,6 +323,102 @@ TEST(ResGCN, CoordinatePerturbationChangesGraph) {
     diff += std::abs(base.at(i) - shifted.at(i));
   }
   EXPECT_GT(diff, 1.0);
+}
+
+/// ResGCNSeg::forward in eval mode with each block as the unfused chain
+/// segment_max(bn_relu_eval(edge_linear(...))), built from the model's own
+/// named parameters and buffers.
+Tensor resgcn_chain_forward(ResGCNSeg& model, const ModelInput& input) {
+  std::map<std::string, Tensor> param;
+  for (auto& p : model.named_params()) param[p.name] = p.tensor;
+  std::map<std::string, std::vector<float>*> buffer;
+  for (auto& b : model.named_buffers()) buffer[b.name] = b.values;
+  auto bn_relu = [&](const Tensor& x, const std::string& bn) {
+    return ops::bn_relu_eval(x, param[bn + "gamma"], param[bn + "beta"],
+                             *buffer[bn + "running_mean"], *buffer[bn + "running_var"]);
+  };
+  auto linear = [&](const Tensor& x, const std::string& lin) {
+    return ops::linear(x, param[lin + "weight"], param[lin + "bias"]);
+  };
+  const ResGCNConfig& config = model.config();
+  const AssembledInput a = assemble_input(input, CoordConvention::kMinusOneToOne, false);
+  const std::int64_t n = static_cast<std::int64_t>(a.graph_positions.size());
+  const int k = static_cast<int>(std::min<std::int64_t>(config.k, n));
+  const int wide_k = static_cast<int>(
+      std::min<std::int64_t>(static_cast<std::int64_t>(k) * config.max_dilation, n));
+  const auto wide_idx = pcss::pointcloud::knn_self(a.graph_positions, wide_k, true);
+  Tensor h = bn_relu(linear(a.features, "stem.lin0."), "stem.bn0.");
+  for (int b = 0; b < config.blocks; ++b) {
+    const int dilation = std::min(1 + (b % config.max_dilation), std::max(wide_k / k, 1));
+    const auto idx = dilate_neighbors(wide_idx, n, k, dilation);
+    const std::string block = "block" + std::to_string(b) + ".";
+    const Tensor edge = ops::edge_linear(h, param[block + "lin0.weight"],
+                                         param[block + "lin0.bias"], idx, k);
+    h = ops::add(ops::segment_max(bn_relu(edge, block + "bn0."), k), h);
+  }
+  h = bn_relu(linear(h, "head.lin0."), "head.bn0.");
+  return linear(h, "head.lin1.");
+}
+
+TEST(ResGCN, EvalBlocksMatchUnfusedChainBitForBit) {
+  // ops::edge_conv_eval replaces each block's eval-mode chain; logits and
+  // the input gradient must not move by a bit. 12 channels: one full
+  // 8-lane block plus a 4-lane tail. BN statistics, affine parameters and
+  // biases (zero at init) are randomized so ReLU cuts, negative gammas and
+  // ties all occur.
+  Rng rng(17);
+  ResGCNConfig config;
+  config.channels = 12;
+  config.blocks = 3;
+  ResGCNSeg model(config, rng);
+  for (auto& b : model.named_buffers()) {
+    const bool var = b.name.ends_with("running_var");
+    for (float& v : *b.values) v = var ? rng.uniform(0.3f, 2.0f) : rng.uniform(-0.5f, 0.5f);
+  }
+  for (auto& p : model.named_params()) {
+    if (p.name.ends_with("gamma") || p.name.ends_with("beta") || p.name.ends_with("bias")) {
+      for (std::int64_t i = 0; i < p.tensor.numel(); ++i) {
+        p.tensor.data()[i] = rng.uniform(-1.0f, 1.0f);
+      }
+    }
+  }
+  const PointCloud cloud = tiny_scene(96);
+  const std::int64_t n = cloud.size();
+  std::vector<float> weights(static_cast<size_t>(n * config.num_classes));
+  for (auto& w : weights) w = rng.uniform(-1.0f, 1.0f);
+  const Tensor weight = Tensor::from_data({n, config.num_classes}, weights);
+  std::vector<float> color(static_cast<size_t>(n * 3)), coord(color.size());
+  for (auto& v : color) v = rng.uniform(-0.05f, 0.05f);
+  for (auto& v : coord) v = rng.uniform(-0.02f, 0.02f);
+
+  for (const bool frozen_params : {true, false}) {
+    for (auto& p : model.named_params()) p.tensor.set_requires_grad(!frozen_params);
+    auto run = [&](bool fused) {
+      Tensor dc = Tensor::from_data({n, 3}, color);
+      Tensor dp = Tensor::from_data({n, 3}, coord);
+      dc.set_requires_grad(true);
+      dp.set_requires_grad(true);
+      const ModelInput input{&cloud, dc, dp};
+      const Tensor logits = fused ? model.forward(input, /*training=*/false)
+                                  : resgcn_chain_forward(model, input);
+      ops::sum(ops::mul(logits, weight)).backward();
+      return std::vector<std::vector<float>>{
+          {logits.data(), logits.data() + logits.numel()},
+          {dc.grad().begin(), dc.grad().end()},
+          {dp.grad().begin(), dp.grad().end()}};
+    };
+    const auto fused = run(true);
+    const auto chain = run(false);
+    const char* names[] = {"logits", "color gradient", "coordinate gradient"};
+    for (size_t i = 0; i < fused.size(); ++i) {
+      ASSERT_EQ(fused[i].size(), chain[i].size()) << names[i];
+      ASSERT_FALSE(fused[i].empty()) << names[i];
+      EXPECT_EQ(std::memcmp(fused[i].data(), chain[i].data(), fused[i].size() * sizeof(float)),
+                0)
+          << names[i] << ", frozen_params=" << frozen_params;
+    }
+  }
+  for (auto& p : model.named_params()) p.tensor.set_requires_grad(true);
 }
 
 TEST(PointNet2, ConfigDefaultsMatchPaperConvention) {

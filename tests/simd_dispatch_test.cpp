@@ -718,6 +718,61 @@ TEST(SimdBitExact, SegmentMax) {
   }
 }
 
+TEST(SimdBitExact, EdgeConvMax) {
+  PCSS_REQUIRE_AVX2_TABLE();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::int64_t k : {1, 3, 12}) {
+    for (const std::int64_t c : tail_sizes()) {
+      const std::int64_t n = 5;
+      const size_t nc = static_cast<size_t>(n * c);
+      auto p = test_values(nc, 60 + static_cast<std::uint64_t>(k));
+      const auto q = test_values(nc, 61);
+      const auto bias = test_values(static_cast<size_t>(c), 62);
+      const auto gamma = test_values(static_cast<size_t>(c), 63);
+      const auto beta = test_values(static_cast<size_t>(c), 64);
+      const auto mean = test_values(static_cast<size_t>(c), 65);
+      auto inv_std = test_values(static_cast<size_t>(c), 66);
+      for (auto& v : inv_std) v = 0.5f + (v > 0 ? v : -v);
+      // Point 1 is non-finite (its messages all clamp to 0 or saturate);
+      // every center repeats a neighbor, so every group has a tie.
+      for (std::int64_t j = 0; j < c; ++j) p[static_cast<size_t>(c + j)] = j % 2 ? nan : -inf;
+      std::vector<std::int64_t> idx(static_cast<size_t>(n * k));
+      for (size_t e = 0; e < idx.size(); ++e) idx[e] = static_cast<std::int64_t>((e * 7 + 3) % n);
+      for (std::int64_t i = 0; i < n && k > 2; ++i) idx[i * k + 2] = idx[i * k];
+      for (const bool with_bias : {true, false}) {
+        // The chain: gather-add, bias, bn_relu_eval, segment_max.
+        std::vector<float> edge(static_cast<size_t>(n * k * c));
+        for (std::int64_t e = 0; e < n * k; ++e) {
+          for (std::int64_t j = 0; j < c; ++j) {
+            edge[e * c + j] = p[(e / k) * c + j] + q[idx[e] * c + j];
+          }
+        }
+        if (with_bias) S.add_rowvec(edge.data(), bias.data(), edge.data(), n * k, c);
+        S.bn_relu_eval(edge.data(), gamma.data(), beta.data(), mean.data(), inv_std.data(),
+                       edge.data(), n * k, c);
+        std::vector<float> vr(nc);
+        std::vector<std::int64_t> ar(nc);
+        segment_max_reference(edge.data(), vr.data(), ar.data(), n, k, c);
+        const float* b = with_bias ? bias.data() : nullptr;
+        std::vector<float> vs(nc), va(nc), as(nc, -1.0f), aa(nc, -1.0f);
+        S.edge_conv_max(p.data(), q.data(), b, idx.data(), gamma.data(), beta.data(),
+                        mean.data(), inv_std.data(), vs.data(), as.data(), n, k, c);
+        A.edge_conv_max(p.data(), q.data(), b, idx.data(), gamma.data(), beta.data(),
+                        mean.data(), inv_std.data(), va.data(), aa.data(), n, k, c);
+        const std::string where = "k=" + std::to_string(k) + " c=" + std::to_string(c) +
+                                  " bias=" + std::to_string(with_bias);
+        EXPECT_TRUE(bytes_equal(vr.data(), vs.data(), nc)) << "scalar " << where;
+        EXPECT_TRUE(bytes_equal(vs.data(), va.data(), nc)) << "avx2 " << where;
+        EXPECT_TRUE(bytes_equal(as.data(), aa.data(), nc)) << "avx2 arg " << where;
+        for (size_t e = 0; e < nc; ++e) {
+          ASSERT_EQ(static_cast<float>(ar[e]), as[e]) << "scalar arg " << where;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-model and whole-experiment determinism across the dispatch paths
 // ---------------------------------------------------------------------------

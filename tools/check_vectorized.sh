@@ -24,6 +24,7 @@ KERNELS=(
   acc_segment_softmax_bw
   attentive_pool
   acc_attentive_pool_bw
+  edge_conv_max
 )
 
 if [[ $# -ne 1 || ! -f "$1" ]]; then
