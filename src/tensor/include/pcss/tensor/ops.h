@@ -7,7 +7,9 @@
 
 /// Differentiable operations on Tensor. Every function builds the autograd
 /// graph as it runs; gradients flow when any input has requires_grad set
-/// (directly or transitively).
+/// (directly or transitively). Each builder here is one Op (tensor.h):
+/// its forward and backward rules sit next to it in ops.cpp and are named
+/// by the op table there.
 ///
 /// Conventions: matrices are [rows, cols] row-major. "Segment" ops treat a
 /// [N*K, C] tensor as N contiguous groups of K rows (the neighbor axis used

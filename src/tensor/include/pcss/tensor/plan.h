@@ -21,28 +21,31 @@ namespace pcss::tensor::plan {
 //
 // The arena: a plan does not copy values into new storage — it *pins* the
 // step's pooled buffers by retaining every graph node. Buffer addresses,
-// gradient addresses, saved-index contexts and the resolved per-op function
-// pointers are therefore all fixed at capture time; a replay touches the
-// buffer pool zero times (lint rule D008 keeps this file's TU free of
-// pool::acquire) and re-resolves no dispatch.
+// gradient addresses, saved-index contexts and each op's rules (looked up
+// once in the op table, tensor.h's op_def) are therefore all fixed at
+// capture time; a replay touches the buffer pool zero times (lint rule
+// D008 keeps this file's TU free of pool::acquire) and re-resolves no
+// dispatch.
 //
 // Replay:
-//   replay_forward()  — run each recorded node's ForwardFn in capture order,
-//                       rewriting node.data (and value-dependent saved state
-//                       such as segment-max argmaxes) in place from the
-//                       parents' current data. The ForwardFn is the function
-//                       the op's eager builder ran to compute the captured
-//                       value, so a replayed forward is the eager forward.
+//   replay_forward()  — run each recorded node's forward rule (OpDef::fwd)
+//                       in capture order, rewriting node.data (and
+//                       value-dependent saved state such as segment-max
+//                       argmaxes) in place from the parents' current data.
+//                       The rule is the function the op's eager builder ran
+//                       to compute the captured value, so a replayed
+//                       forward is the eager forward.
 //   replay_backward() — zero every gradient buffer backward touched last
 //                       time, seed the scalar root with 1, and fire the
 //                       captured reverse schedule. Accumulation order is the
 //                       capture step's eager order, so replayed gradients
 //                       are bit-identical to eager mode.
 //
-// Capturability: every recorded node must carry a ForwardFn. Ops whose
-// forward has step-varying side effects outside the graph (training-mode
-// batch norm's running statistics, training-mode dropout's fresh RNG mask)
-// deliberately have none, so finish() fails and the caller stays eager.
+// Capturability: every recorded node's op must have a forward rule. The
+// two ops that compute their value in the builder have none (batch norm
+// in either mode, whose training form updates running statistics, and
+// training-mode dropout, which draws a fresh RNG mask), so finish() fails
+// and the caller stays eager.
 // Graphs whose *shape* changes between steps (host-side kNN over perturbed
 // positions, L0 masks shrinking) must not be replayed either — callers key
 // re-capture off an explicit invalidation epoch (the attack projection's
@@ -99,10 +102,10 @@ class CompiledPlan {
  private:
   friend class PlanBuilder;
 
-  /// One schedule entry: the op's resolved function pointer plus the node
-  /// it executes on (whose pinned buffers are the operands).
+  /// One schedule entry: the op's rule, resolved at capture, plus the
+  /// node it executes on (whose pinned buffers are the operands).
   struct Step {
-    void (*fn)(TensorImpl&) = nullptr;
+    Rule fn = nullptr;
     TensorImpl* node = nullptr;
   };
 
@@ -126,7 +129,7 @@ class PlanBuilder {
 
   /// Freezes the recorded step into `out`. Returns false — leaving `out`
   /// untouched — when the step was not capturable: no backward() ran, or
-  /// a recorded op carries no ForwardFn (training-mode batch norm or
+  /// a recorded op has no forward rule (batch norm or training-mode
   /// dropout). The builder is spent either way.
   bool finish(CompiledPlan& out);
 

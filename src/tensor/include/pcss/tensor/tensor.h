@@ -21,27 +21,55 @@ std::string shape_str(const Shape& shape);
 struct TensorImpl;
 using TensorImplPtr = std::shared_ptr<TensorImpl>;
 
-/// Reverse-mode rule for one node: reads the node's grad (and the inline
-/// op state / context below) and accumulates into its parents' grads.
-///
-/// A plain function pointer acts as the op tag; per-node state lives in
-/// the TensorImpl's inline scalar slots or, for ops that must save
-/// buffers, in an optional BackwardCtx. This replaces the previous
-/// std::function closures (one type-erased heap allocation per node) with
-/// a single indirect call and zero allocations for scalar-parameterized
-/// ops.
-using BackwardFn = void (*)(TensorImpl& node);
+/// Every differentiable op, one per builder in ops.h, in ops.cpp's order.
+/// A node records the op that computed it; kNone marks leaves,
+/// predict-mode results and nodes whose graph was released.
+enum class Op : std::uint8_t {
+  kNone,
+  // elementwise and scalar
+  kAdd, kSub, kMul, kScale, kAddScalar, kAddRowvec, kMulRows, kRelu, kTanh, kSquare, kSqrt,
+  // reductions and linear algebra
+  kSum, kRowSum, kMatmul, kLinear,
+  // gather and structure
+  kGatherRows, kScatterRows, kWeightedGatherRows, kGatherSubRows, kRepeatRows, kConcatCols,
+  kConcatCols4, kSliceCols, kScatterAddCols,
+  // segment reductions
+  kSegmentMax, kSegmentSum, kSegmentSoftmax, kAttentivePool,
+  // normalization and regularization
+  kBatchNorm, kBnReluEval, kDropout,
+  // fused edge ops
+  kEdgeLinear, kEdgeConvEval, kNeighborLinear,
+  // heads and losses
+  kLogSoftmaxRows, kNllLossMasked, kHingeMarginLoss, kSmoothnessPenalty,
+  kCount  ///< the number of enumerators, not an op
+};
 
-/// The one forward of an op: writes node.data — and any value-dependent
-/// saved state such as argmax indices — from the parents' current data.
-/// The op's builder runs it once to compute the eager value, and a
-/// compiled step plan (plan.h) runs it again on every replay, so replay
-/// and eager execution share one definition. Symmetric to BackwardFn: a
-/// plain function pointer resolved once at op-build time, so a replay is a
-/// flat loop of indirect calls with no dispatch and no allocation. Only
-/// batch norm and dropout have none (training batch norm mutates running
-/// stats; training dropout draws a fresh mask).
-using ForwardFn = void (*)(TensorImpl& node);
+/// One rule of an op, run on a node the op computed.
+using Rule = void (*)(TensorImpl& node);
+
+/// An op's definition: its entry in the table at the end of ops.cpp.
+/// Per-node state lives in the TensorImpl's inline scalar slots or, for
+/// ops that save buffers, in its BackwardCtx, so a node costs no closure
+/// and a rule is one indirect call.
+struct OpDef {
+  Op op;             ///< the entry's own index (a static_assert checks it)
+  const char* name;  ///< the builder's name in ops.h
+  /// The one forward: writes node.data, and any value-dependent saved
+  /// state such as argmax indices, from the parents' current data. The
+  /// builder runs it for the eager value and a compiled step plan
+  /// (plan.h) reruns it on every replay, so replay and eager execution
+  /// share one definition. Null for batch_norm and dropout, which compute
+  /// their value in the builder: training batch norm updates running
+  /// statistics and training dropout draws a fresh mask, effects a replay
+  /// must not repeat. A graph holding either is never captured.
+  Rule fwd;
+  /// Reads the node's grad and saved state and accumulates into the
+  /// parents' grads. Null only for kNone.
+  Rule bw;
+};
+
+/// The table entry of `op`.
+const OpDef& op_def(Op op);
 
 /// Saved-state record for backward rules that need more than scalars.
 /// Field meaning is op-specific; `fbuf` returns to the buffer pool on
@@ -63,14 +91,12 @@ struct TensorImpl {
   Shape shape;
   bool requires_grad = false;
   std::vector<TensorImplPtr> parents;
-  BackwardFn backward_fn = nullptr;
-  /// Set alongside backward_fn on gradient-carrying nodes; compiled step
-  /// plans call it to recompute the value on replay.
-  ForwardFn forward_fn = nullptr;
+  /// Set on gradient-carrying nodes: backward() and compiled step plans
+  /// run op_def(op)'s rules on this node.
+  Op op = Op::kNone;
   /// Inline op state (meaning is op-specific: a stride, a segment width,
   /// a scale factor...). Avoids a BackwardCtx allocation for most ops.
   std::int64_t op_i0 = 0;
-  std::int64_t op_i1 = 0;
   float op_f0 = 0.0f;
   bool op_flag = false;
   /// Set by release_graph() on nodes that carried backward state: a

@@ -129,10 +129,10 @@ bool PlanBuilder::finish(CompiledPlan& out) {
   const bool capturable =
       rec.backward_captured && rec.root != nullptr && rec.root->numel() == 1 &&
       std::all_of(rec.recorded.begin(), rec.recorded.end(),
-                  [](const TensorImplPtr& n) { return n->forward_fn != nullptr; });
+                  [](const TensorImplPtr& n) { return op_def(n->op).fwd != nullptr; });
   if (!capturable) {
-    // Not a replayable step (no backward ran, or an op without a ForwardFn
-    // — training-mode batch norm / dropout). Dropping the recorder state
+    // Not a replayable step (no backward ran, or an op without a forward
+    // rule — batch norm / dropout). Dropping the recorder state
     // lets the step's graph unwind exactly as an eager step would.
     rec.clear();
     return false;
@@ -141,16 +141,16 @@ bool PlanBuilder::finish(CompiledPlan& out) {
   CompiledPlan plan;
   plan.forward_.reserve(rec.recorded.size());
   for (const TensorImplPtr& node : rec.recorded) {
-    plan.forward_.push_back({node->forward_fn, node.get()});
+    plan.forward_.push_back({op_def(node->op).fwd, node.get()});
   }
   // The backward walk visits `order` in reverse; a node's gradient is only
   // ever allocated by its children, all of which fire before the walk
-  // reaches it — so the post-backward grad/backward_fn state of each node
+  // reaches it — so the post-backward grad/op state of each node
   // reproduces exactly the schedule the eager walk executed.
   for (auto it = rec.order.rbegin(); it != rec.order.rend(); ++it) {
     TensorImpl& node = **it;
-    if (node.backward_fn && !node.grad.empty()) {
-      plan.backward_.push_back({node.backward_fn, &node});
+    if (const Rule bw = op_def(node.op).bw; bw && !node.grad.empty()) {
+      plan.backward_.push_back({bw, &node});
     }
   }
   for (const TensorImplPtr& node : rec.order) {

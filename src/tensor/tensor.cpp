@@ -59,10 +59,10 @@ void TensorImpl::release_graph() {
   // shared by every concurrently-built per-cloud graph, so backward() on
   // one thread must not write (even idempotently) to a node another
   // thread's backward() is reading. A leaf has no graph state to drop.
-  if (parents.empty() && backward_fn == nullptr && ctx == nullptr) return;
-  if (backward_fn != nullptr) graph_released = true;
+  if (parents.empty() && op == Op::kNone && ctx == nullptr) return;
+  if (op != Op::kNone) graph_released = true;
   parents.clear();
-  backward_fn = nullptr;
+  op = Op::kNone;
   ctx.reset();
 }
 
@@ -221,7 +221,7 @@ void Tensor::backward() {
   // complete before it propagates to its parents.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorImpl& node = **it;
-    if (node.backward_fn && !node.grad.empty()) node.backward_fn(node);
+    if (const Rule bw = op_def(node.op).bw; bw && !node.grad.empty()) bw(node);
   }
   // A compiled-plan capture pins the finished graph instead of releasing
   // it: the reverse schedule just executed is exactly what the plan will

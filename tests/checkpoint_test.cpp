@@ -16,10 +16,10 @@
 
 #include "pcss/models/resgcn.h"
 #include "pcss/train/checkpoint.h"
+#include "temp_dir.h"
 
 namespace {
 
-namespace fs = std::filesystem;
 using pcss::tensor::Rng;
 
 std::unique_ptr<pcss::models::ResGCNSeg> tiny_model(std::uint64_t init_seed) {
@@ -89,18 +89,11 @@ void write_file(const std::string& path, const std::string& bytes) {
 class CheckpointFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "pcss_checkpoint_test").string();
-    fs::create_directories(dir_);
     source_ = tiny_model(41);
     path_ = dir_ + "/reference.ckpt";
     pcss::train::save_checkpoint(*source_, path_);
     bytes_ = read_file(path_);
     ASSERT_GT(bytes_.size(), 64u);
-  }
-
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
   }
 
   /// Expects load of `bytes` to throw mentioning `expected_fragment`,
@@ -124,7 +117,8 @@ class CheckpointFixture : public ::testing::Test {
         << "failed load must not partially mutate the model";
   }
 
-  std::string dir_;
+  pcss::testing::TempDir tmp_;
+  std::string dir_ = tmp_.path();
   std::string path_;
   std::string bytes_;
   std::unique_ptr<pcss::models::ResGCNSeg> source_;

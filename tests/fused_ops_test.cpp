@@ -2,8 +2,8 @@
 // same forward values AND the same input gradients as the op composition
 // it replaces (the engine's determinism guarantees depend on it). The
 // exceptions are edge_linear and neighbor_linear, which factor a Linear
-// through a gather and so match their compositions up to rounding. Each op
-// also gets an independent finite-difference gradcheck.
+// through a gather and so match their compositions up to rounding. Each
+// op's finite-difference gradcheck is its op row in plan_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@ namespace ops = pcss::tensor::ops;
 using pcss::tensor::Rng;
 using pcss::tensor::Shape;
 using pcss::tensor::Tensor;
-using pcss::testing::expect_gradcheck;
 using pcss::testing::random_values;
 
 namespace {
@@ -71,11 +70,6 @@ TEST(FusedOps, LinearMatchesMatmulAddRowvec) {
   Tensor x4 = leaf({3, 4}, xv), w4 = leaf({4, 2}, wv);
   backward_and_compare(ops::linear(x3, w3, Tensor()), ops::matmul(x4, w4),
                        {{x3, x4}, {w3, w4}});
-
-  Tensor wg = Tensor::from_data({4, 2}, wv);
-  Tensor bg = Tensor::from_data({2}, bv);
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::square(ops::linear(x, wg, bg))); },
-                   {3, 4}, xv);
 }
 
 TEST(FusedOps, BnReluEvalMatchesComposition) {
@@ -90,14 +84,6 @@ TEST(FusedOps, BnReluEvalMatchesComposition) {
   std::vector<float> rm2 = rm, rv2 = rv;
   Tensor unfused = ops::relu(ops::batch_norm(x2, g2, b2, rm2, rv2, /*training=*/false));
   backward_and_compare(fused, unfused, {{x1, x2}, {g1, g2}, {b1, b2}});
-
-  Tensor gg = Tensor::from_data({c}, gv);
-  Tensor bg = Tensor::from_data({c}, betav);
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        return ops::sum(ops::square(ops::bn_relu_eval(x, gg, bg, rm, rv)));
-      },
-      {n, c}, random_values(n * c, rng, 0.3f, 1.5f));
 }
 
 /// Largest |a - b| relative to max(1, |b|), over every element.
@@ -146,25 +132,6 @@ TEST(FusedOps, EdgeLinearMatchesEdgeAssemblyThenLinear) {
       EXPECT_TRUE(b1.grad().empty());
     }
   }
-
-  const Tensor wg = Tensor::from_data({2 * c, m}, wv);
-  const Tensor bg = Tensor::from_data({m}, bv);
-  const Tensor hg = Tensor::from_data({n, c}, hv);
-  expect_gradcheck(
-      [&](const Tensor& h) {
-        return ops::sum(ops::square(ops::edge_linear(h, wg, bg, idx, k)));
-      },
-      {n, c}, hv);
-  expect_gradcheck(
-      [&](const Tensor& w) {
-        return ops::sum(ops::square(ops::edge_linear(hg, w, bg, idx, k)));
-      },
-      {2 * c, m}, wv);
-  expect_gradcheck(
-      [&](const Tensor& b) {
-        return ops::sum(ops::square(ops::edge_linear(hg, wg, b, idx, k)));
-      },
-      {m}, bv);
 }
 
 bool same_bits(const float* a, const float* b, size_t n) {
@@ -241,27 +208,6 @@ TEST(FusedOps, EdgeConvEvalMatchesChain) {
       }
     }
   }
-
-  // Finite differences, away from ties and the ReLU kink.
-  const std::int64_t n2 = 5, c2 = 3, k2 = 3, m2 = 4;
-  const std::vector<std::int64_t> idx{1, 2, 3, 0, 4, 2, 3, 1, 0, 2, 4, 1, 0, 3, 4};
-  const auto hv = random_values(n2 * c2, rng), wv = random_values(2 * c2 * m2, rng),
-             bv = random_values(m2, rng), gammav = random_values(m2, rng, 0.5f, 1.5f),
-             betav = random_values(m2, rng, 0.5f, 1.0f);
-  const std::vector<float> rm = random_values(m2, rng), rv = random_values(m2, rng, 0.5f, 1.5f);
-  const Tensor hg = Tensor::from_data({n2, c2}, hv), wg = Tensor::from_data({2 * c2, m2}, wv),
-               bg = Tensor::from_data({m2}, bv), gg = Tensor::from_data({m2}, gammav),
-               beg = Tensor::from_data({m2}, betav);
-  auto loss = [&](const Tensor& h, const Tensor& w, const Tensor& b, const Tensor& gamma,
-                  const Tensor& beta) {
-    return ops::sum(ops::square(ops::edge_conv_eval(h, w, b, gamma, beta, rm, rv, idx, k2)));
-  };
-  expect_gradcheck([&](const Tensor& h) { return loss(h, wg, bg, gg, beg); }, {n2, c2}, hv);
-  expect_gradcheck([&](const Tensor& w) { return loss(hg, w, bg, gg, beg); }, {2 * c2, m2},
-                   wv);
-  expect_gradcheck([&](const Tensor& b) { return loss(hg, wg, b, gg, beg); }, {m2}, bv);
-  expect_gradcheck([&](const Tensor& g) { return loss(hg, wg, bg, g, beg); }, {m2}, gammav);
-  expect_gradcheck([&](const Tensor& be) { return loss(hg, wg, bg, gg, be); }, {m2}, betav);
 }
 
 // neighbor_linear runs the gathered half of its Linear on point rows, so
@@ -298,18 +244,6 @@ TEST(FusedOps, NeighborLinearMatchesConcatGatherThenLinear) {
       EXPECT_TRUE(b1.grad().empty());
     }
   }
-
-  const Tensor xg = Tensor::from_data({e, cx}, xv);
-  const Tensor hg = Tensor::from_data({nh, ch}, hv);
-  const Tensor wg = Tensor::from_data({cx + ch, m}, wv);
-  const Tensor bg = Tensor::from_data({m}, bv);
-  auto loss = [&](const Tensor& x, const Tensor& h, const Tensor& w, const Tensor& b) {
-    return ops::sum(ops::square(ops::neighbor_linear(x, h, w, b, idx)));
-  };
-  expect_gradcheck([&](const Tensor& x) { return loss(x, hg, wg, bg); }, {e, cx}, xv);
-  expect_gradcheck([&](const Tensor& h) { return loss(xg, h, wg, bg); }, {nh, ch}, hv);
-  expect_gradcheck([&](const Tensor& w) { return loss(xg, hg, w, bg); }, {cx + ch, m}, wv);
-  expect_gradcheck([&](const Tensor& b) { return loss(xg, hg, wg, b); }, {m}, bv);
 }
 
 TEST(FusedOps, AttentivePoolMatchesSoftmaxMulSum) {
@@ -325,19 +259,7 @@ TEST(FusedOps, AttentivePoolMatchesSoftmaxMulSum) {
       Tensor unfused = ops::segment_sum(ops::mul(g2, ops::segment_softmax(s2, k)), k);
       backward_and_compare(fused, unfused, {{g1, g2}, {s1, s2}});
     }
-  }
-
-  const std::int64_t n = 3, k = 4, c = 2;
-  const auto gv = random_values(n * k * c, rng), sv = random_values(n * k * c, rng);
-  const Tensor gg = Tensor::from_data({n * k, c}, gv);
-  const Tensor sg = Tensor::from_data({n * k, c}, sv);
-  expect_gradcheck(
-      [&](const Tensor& g) { return ops::sum(ops::square(ops::attentive_pool(g, sg, k))); },
-      {n * k, c}, gv);
-  expect_gradcheck(
-      [&](const Tensor& s) { return ops::sum(ops::square(ops::attentive_pool(gg, s, k))); },
-      {n * k, c}, sv);
-}
+  }}
 
 TEST(FusedOps, GatherSubRowsMatchesGatherRepeatSub) {
   Rng rng(109);
@@ -350,14 +272,7 @@ TEST(FusedOps, GatherSubRowsMatchesGatherRepeatSub) {
   Tensor fused = ops::gather_sub_rows(x1, idx_a, idx_b, k);
   Tensor unfused =
       ops::sub(ops::gather_rows(x2, idx_a), ops::repeat_rows(ops::gather_rows(x2, idx_b), k));
-  backward_and_compare(fused, unfused, {{x1, x2}});
-
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        return ops::sum(ops::square(ops::gather_sub_rows(x, idx_a, idx_b, k)));
-      },
-      {n, c}, random_values(n * c, rng));
-}
+  backward_and_compare(fused, unfused, {{x1, x2}});}
 
 TEST(FusedOps, ConcatCols4MatchesNestedConcat) {
   Rng rng(113);
@@ -370,16 +285,7 @@ TEST(FusedOps, ConcatCols4MatchesNestedConcat) {
          d2 = leaf({n, 1}, dv);
   Tensor fused = ops::concat_cols4(a1, b1, c1, d1);
   Tensor unfused = ops::concat_cols(ops::concat_cols(a2, b2), ops::concat_cols(c2, d2));
-  backward_and_compare(fused, unfused, {{a1, a2}, {b1, b2}, {c1, c2}, {d1, d2}});
-
-  Tensor bg = Tensor::from_data({n, 3}, bv), cg = Tensor::from_data({n, 3}, cv),
-         dg = Tensor::from_data({n, 1}, dv);
-  expect_gradcheck(
-      [&](const Tensor& a) {
-        return ops::sum(ops::square(ops::concat_cols4(a, bg, cg, dg)));
-      },
-      {n, 3}, random_values(n * 3, rng));
-}
+  backward_and_compare(fused, unfused, {{a1, a2}, {b1, b2}, {c1, c2}, {d1, d2}});}
 
 TEST(FusedOps, MulRowsMatchesBroadcastMatmul) {
   Rng rng(127);
@@ -390,12 +296,6 @@ TEST(FusedOps, MulRowsMatchesBroadcastMatmul) {
   Tensor fused = ops::mul_rows(x1, col1);
   const Tensor ones_row = Tensor::full({1, c}, 1.0f);
   Tensor unfused = ops::mul(x2, ops::matmul(col2, ones_row));
-  backward_and_compare(fused, unfused, {{x1, x2}, {col1, col2}});
-
-  Tensor colg = Tensor::from_data({n, 1}, colv);
-  expect_gradcheck(
-      [&](const Tensor& x) { return ops::sum(ops::square(ops::mul_rows(x, colg))); },
-      {n, c}, random_values(n * c, rng));
-}
+  backward_and_compare(fused, unfused, {{x1, x2}, {col1, col2}});}
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "pcss/tensor/ops.h"
 #include "pcss/tensor/optim.h"
 #include "pcss/train/checkpoint.h"
+#include "temp_dir.h"
 
 using namespace pcss::models;
 namespace ops = pcss::tensor::ops;
@@ -251,16 +252,14 @@ TEST_P(ModelFamilies, CheckpointRoundTripPreservesPredictions) {
   const PointCloud cloud = tiny_scene(96);
   const auto before = model->predict(cloud);
 
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("pcss_ckpt_" + model->name() + ".bin"))
-                               .string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("model.bin");
   pcss::train::save_checkpoint(*model, path);
 
   Rng rng2(999);  // different init
   auto restored = make_model(GetParam(), 13, rng2);
   pcss::train::load_checkpoint(*restored, path);
   EXPECT_EQ(restored->predict(cloud), before);
-  std::filesystem::remove(path);
 }
 
 TEST_P(ModelFamilies, OverfitsTinyScene) {

@@ -25,6 +25,7 @@
 #include "pcss/runner/json.h"
 #include "pcss/runner/perf.h"
 #include "pcss/runner/result_store.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -247,9 +248,8 @@ pcss::runner::RunOptions obs_tiny_options(int threads) {
 TEST_F(TraceTest, DocumentsAreByteIdenticalWithTracingOnOrOff) {
   ObsTinyProvider provider;
   const pcss::runner::ExperimentSpec spec = obs_mini_spec();
-  const std::string root =
-      (fs::temp_directory_path() / "pcss_obs_test_identity").string();
-  fs::remove_all(root);
+  const pcss::testing::TempDir tmp;
+  const std::string root = tmp.file("store");
 
   trace::set_enabled(false);
   pcss::runner::ResultStore store_off(root + "-off");
@@ -269,10 +269,6 @@ TEST_F(TraceTest, DocumentsAreByteIdenticalWithTracingOnOrOff) {
   EXPECT_EQ(threaded.json, base.json)
       << "tracing + worker threads must never change result document bytes";
   EXPECT_GT(trace::stats().recorded, 0u) << "the traced runs must actually record";
-
-  fs::remove_all(root + "-off");
-  fs::remove_all(root + "-on");
-  fs::remove_all(root + "-mt");
 }
 
 /// Runs the pcss_trace binary on `path`: exit status and stdout+stderr.
@@ -303,8 +299,8 @@ TEST_F(TraceTest, PcssTraceSummarizesARealTrace) {
   }
   trace::set_enabled(false);
 
-  const std::string path =
-      (fs::temp_directory_path() / "pcss_obs_test_trace.json").string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("trace.json");
   ASSERT_TRUE(trace::write_chrome_json(path));
 
   const auto [status, output] = run_pcss_trace(path);
@@ -313,15 +309,14 @@ TEST_F(TraceTest, PcssTraceSummarizesARealTrace) {
   EXPECT_NE(output.find("shard timeline (3 shards)"), std::string::npos) << output;
   EXPECT_NE(output.find("cache"), std::string::npos) << output;
   EXPECT_NE(output.find("worker utilization"), std::string::npos) << output;
-  fs::remove(path);
 }
 
 TEST(PcssTrace, HostileIntegersFailNamingTheField) {
   // Integer fields outside long long's range, or fractional, would be
   // undefined casts; each must fail with the field's name instead of
   // printing a wrapped value.
-  const std::string path =
-      (fs::temp_directory_path() / "pcss_obs_test_hostile_trace.json").string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("hostile_trace.json");
   const std::pair<const char*, const char*> cases[] = {
       {R"("tid": 1e300, "args": {})", "'tid'"},
       {R"("tid": -1e19, "args": {})", "'tid'"},
@@ -339,12 +334,11 @@ TEST(PcssTrace, HostileIntegersFailNamingTheField) {
     EXPECT_NE(output.find(name), std::string::npos) << fields << ": " << output;
     EXPECT_EQ(output.find("-9223372036854775808"), std::string::npos) << output;
   }
-  fs::remove(path);
 }
 
 TEST(PcssTrace, TopTakesOnlyANonNegativeInteger) {
-  const std::string path =
-      (fs::temp_directory_path() / "pcss_obs_test_top_trace.json").string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("top_trace.json");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << R"({"traceEvents": [)"
@@ -365,7 +359,6 @@ TEST(PcssTrace, TopTakesOnlyANonNegativeInteger) {
   const auto [status0, top0] = run_pcss_trace(path, "--top 0");
   EXPECT_EQ(status0, 0) << top0;
   EXPECT_EQ(top0.find("span.a"), std::string::npos) << top0;
-  fs::remove(path);
 }
 
 }  // namespace

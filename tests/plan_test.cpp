@@ -5,7 +5,8 @@
 // irrelevant with plans on, and the engine's gating must keep
 // plan-incompatible configurations eager. Counter deltas (plan.captures /
 // plan.replays / plan.fallbacks) prove plans actually engaged — a test
-// that silently fell back to eager would otherwise pass vacuously.
+// that silently fell back to eager would otherwise pass vacuously. The
+// op rows below also drive every per-op contract of the op table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "gradcheck.h"
 #include "pcss/core/attack_engine.h"
 #include "pcss/data/indoor.h"
 #include "pcss/models/pointnet2.h"
@@ -30,6 +32,7 @@
 using namespace pcss::core;
 using pcss::data::IndoorSceneGenerator;
 using pcss::models::SegmentationModel;
+using pcss::tensor::Op;
 using pcss::tensor::Rng;
 using pcss::tensor::Tensor;
 namespace ops = pcss::tensor::ops;
@@ -192,8 +195,8 @@ TEST(PlanBuilder, CapturedGraphReplaysByteIdentical) {
 }
 
 TEST(PlanBuilder, TrainingModeGraphIsNotCapturable) {
-  // Dropout in training mode consumes fresh RNG state per step, so the
-  // recorded node has no ForwardFn and finish() must refuse.
+  // Dropout in training mode consumes fresh RNG state per step, so its
+  // op has no forward rule and finish() must refuse.
   Rng rng(11);
   auto model = make_model(Family::kPointNet2, rng);
   const PointCloud cloud = tiny_scene();
@@ -208,25 +211,53 @@ TEST(PlanBuilder, TrainingModeGraphIsNotCapturable) {
   EXPECT_FALSE(compiled.valid());
 }
 
-// --- Replay contract, one row per capturable op ----------------------------
+// --- One row per op ---------------------------------------------------------
 //
-// Every op with a ForwardFn: capture op -> weighted sum -> backward, write
-// new values into the leaves, replay, and compare the value and every leaf
-// gradient byte-for-byte with a fresh eager build on the new values. The
-// same row checks predict mode: built from no-grad inputs, the node keeps
-// no parents, ctx or ForwardFn.
+// Every Op has at least one row (OpTable.EveryOpHasARow), and each row
+// drives every per-op contract:
+// - ReplayContract.ReplayMatchesFreshEagerBuild: capture op -> weighted sum
+//   -> backward, write new values into the leaves, replay, and compare the
+//   value, every leaf gradient and the node's saved state (ctx fbuf and
+//   ibuf) byte-for-byte with a fresh eager build on the new values. An op
+//   with no forward rule must refuse the capture instead.
+// - ReplayContract.PredictModeNodeIsGraphFree: built from no-grad inputs,
+//   the node keeps no parents, ctx or op.
+// - OpRules.GradcheckEveryLeaf: finite differences of the weighted sum in
+//   every leaf.
+// - OpRules.RejectsBadInputs: every reject case throws. The forward rules
+//   read without bounds checks, so indices, labels and widths are
+//   validated before the output is computed (under ASan: without an
+//   out-of-bounds read first).
+
+using V = std::vector<Tensor>;
+using Call = std::function<Tensor(const V&)>;
 
 struct OpRow {
   const char* name;
+  Op op;
   std::vector<pcss::tensor::Shape> leaves;
-  std::function<Tensor(const std::vector<Tensor>&)> build;
-  float lo = -1.0f;  ///< leaf values are uniform in [lo, 1]
-  /// The op saves value-dependent state in ctx.ibuf (segment_max's argmax,
-  /// hinge_margin_loss's best_j): the mutation must change it.
+  Call build;
+  std::vector<Call> rejects = {};  ///< calls on the leaves that must throw
+  float lo = -1.0f;                ///< leaf values are uniform in [lo, 1]
+  /// The op saves value-dependent state (an argmax, hinge_margin_loss's
+  /// best_j, attentive_pool's weights): the mutation must change it.
   bool value_state = false;
 };
 
 void PrintTo(const OpRow& row, std::ostream* os) { *os << row.name; }
+
+/// `more`, plus each of `calls` with every hostile index into n rows:
+/// -1, n and 2^40.
+std::vector<Call> bad_indices(std::int64_t n,
+                              std::vector<std::function<Tensor(const V&, std::int64_t)>> calls,
+                              std::vector<Call> more = {}) {
+  for (const auto& call : calls) {
+    for (const std::int64_t bad : {std::int64_t{-1}, n, std::int64_t{1} << 40}) {
+      more.push_back([call, bad](const V& l) { return call(l, bad); });
+    }
+  }
+  return more;
+}
 
 std::vector<Tensor> make_leaves(const OpRow& row, std::uint64_t seed, bool grad) {
   Rng rng(seed);
@@ -250,109 +281,197 @@ bool same_bytes(const float* a, const float* b, std::int64_t n) {
   return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
 }
 
+/// The node's saved state as bytes: ctx.fbuf, then ctx.ibuf.
+std::vector<unsigned char> saved_state(const Tensor& t) {
+  std::vector<unsigned char> bytes;
+  if (const pcss::tensor::BackwardCtx* ctx = t.impl()->ctx.get()) {
+    const auto* f = reinterpret_cast<const unsigned char*>(ctx->fbuf.data());
+    const auto* i = reinterpret_cast<const unsigned char*>(ctx->ibuf.data());
+    bytes.assign(f, f + ctx->fbuf.size() * sizeof(float));
+    bytes.insert(bytes.end(), i, i + ctx->ibuf.size() * sizeof(std::int64_t));
+  }
+  return bytes;
+}
+
 const std::vector<OpRow>& op_rows() {
-  using V = std::vector<Tensor>;
+  using I = std::int64_t;
   static const std::vector<float> kMean{0.1f, -0.2f, 0.05f}, kVar{0.9f, 1.3f, 0.4f};
   static const std::vector<float> kMean2{-0.1f, 0.15f}, kVar2{0.7f, 1.2f};
+  static const std::vector<float> kFill{9, 8, 7, 6, 5, 4, 3, 2, 1, 0};
   static const std::vector<OpRow> rows = {
-      {"add", {{4, 3}, {4, 3}}, [](const V& l) { return ops::add(l[0], l[1]); }},
-      {"sub", {{4, 3}, {4, 3}}, [](const V& l) { return ops::sub(l[0], l[1]); }},
-      {"mul", {{4, 3}, {4, 3}}, [](const V& l) { return ops::mul(l[0], l[1]); }},
-      {"scale", {{4, 3}}, [](const V& l) { return ops::scale(l[0], -1.5f); }},
-      {"add_scalar", {{4, 3}}, [](const V& l) { return ops::add_scalar(l[0], 0.25f); }},
-      {"add_rowvec", {{4, 3}, {3}}, [](const V& l) { return ops::add_rowvec(l[0], l[1]); }},
-      {"matmul", {{4, 3}, {3, 5}}, [](const V& l) { return ops::matmul(l[0], l[1]); }},
-      {"linear", {{4, 3}, {3, 5}, {5}},
+      {"add", Op::kAdd, {{4, 3}, {4, 3}}, [](const V& l) { return ops::add(l[0], l[1]); }},
+      {"sub", Op::kSub, {{4, 3}, {4, 3}}, [](const V& l) { return ops::sub(l[0], l[1]); }},
+      {"mul", Op::kMul, {{4, 3}, {4, 3}}, [](const V& l) { return ops::mul(l[0], l[1]); }},
+      {"scale", Op::kScale, {{4, 3}}, [](const V& l) { return ops::scale(l[0], -1.5f); }},
+      {"add_scalar", Op::kAddScalar, {{4, 3}},
+       [](const V& l) { return ops::add_scalar(l[0], 0.25f); }},
+      {"add_rowvec", Op::kAddRowvec, {{4, 3}, {3}},
+       [](const V& l) { return ops::add_rowvec(l[0], l[1]); }},
+      {"mul_rows", Op::kMulRows, {{4, 3}, {4, 1}},
+       [](const V& l) { return ops::mul_rows(l[0], l[1]); }},
+      {"relu", Op::kRelu, {{4, 3}}, [](const V& l) { return ops::relu(l[0]); }},
+      {"tanh_op", Op::kTanh, {{4, 3}}, [](const V& l) { return ops::tanh_op(l[0]); }},
+      {"square", Op::kSquare, {{4, 3}}, [](const V& l) { return ops::square(l[0]); }},
+      {"sqrt_op", Op::kSqrt, {{4, 3}}, [](const V& l) { return ops::sqrt_op(l[0]); }, {}, 0.1f},
+      {"sum", Op::kSum, {{4, 3}}, [](const V& l) { return ops::sum(l[0]); }},
+      {"row_sum", Op::kRowSum, {{4, 3}}, [](const V& l) { return ops::row_sum(l[0]); }},
+      {"matmul", Op::kMatmul, {{4, 3}, {3, 5}},
+       [](const V& l) { return ops::matmul(l[0], l[1]); }},
+      {"linear", Op::kLinear, {{4, 3}, {3, 5}, {5}},
        [](const V& l) { return ops::linear(l[0], l[1], l[2]); }},
-      {"linear_no_bias", {{4, 3}, {3, 5}},
+      {"linear_no_bias", Op::kLinear, {{4, 3}, {3, 5}},
        [](const V& l) { return ops::linear(l[0], l[1], Tensor()); }},
-      {"relu", {{4, 3}}, [](const V& l) { return ops::relu(l[0]); }},
-      {"tanh_op", {{4, 3}}, [](const V& l) { return ops::tanh_op(l[0]); }},
-      {"square", {{4, 3}}, [](const V& l) { return ops::square(l[0]); }},
-      {"sum", {{4, 3}}, [](const V& l) { return ops::sum(l[0]); }},
-      {"row_sum", {{4, 3}}, [](const V& l) { return ops::row_sum(l[0]); }},
-      {"sqrt_op", {{4, 3}}, [](const V& l) { return ops::sqrt_op(l[0]); }, 0.1f},
-      {"gather_rows", {{5, 3}},
-       [](const V& l) { return ops::gather_rows(l[0], {4, 0, 4, 2, 1, 1}); }},
-      {"scatter_rows", {{3, 2}},
-       [](const V& l) {
-         return ops::scatter_rows(l[0], {4, 0, 2}, 5,
-                                  {9, 8, 7, 6, 5, 4, 3, 2, 1, 0});
-       }},
-      {"weighted_gather_rows", {{5, 3}},
+      {"gather_rows", Op::kGatherRows, {{5, 3}},
+       [](const V& l) { return ops::gather_rows(l[0], {4, 0, 4, 2, 1, 1}); },
+       bad_indices(5, {[](const V& l, I b) { return ops::gather_rows(l[0], {0, b}); }})},
+      {"scatter_rows", Op::kScatterRows, {{3, 2}},
+       [](const V& l) { return ops::scatter_rows(l[0], {4, 0, 2}, 5, kFill); },
+       bad_indices(
+           5, {[](const V& l, I b) { return ops::scatter_rows(l[0], {4, 0, b}, 5, kFill); }},
+           {[](const V& l) { return ops::scatter_rows(l[0], {4, 0, 4}, 5, kFill); }})},
+      {"weighted_gather_rows", Op::kWeightedGatherRows, {{5, 3}},
        [](const V& l) {
          return ops::weighted_gather_rows(l[0], {0, 1, 2, 3, 4, 0},
                                           {0.5f, 0.25f, 0.25f, 1.0f, -0.5f, 2.0f}, 3);
-       }},
-      {"repeat_rows", {{3, 2}}, [](const V& l) { return ops::repeat_rows(l[0], 3); }},
-      {"concat_cols", {{4, 2}, {4, 3}},
+       },
+       bad_indices(5, {[](const V& l, I b) {
+         return ops::weighted_gather_rows(l[0], {0, b}, {1.0f, 1.0f}, 2);
+       }})},
+      {"gather_sub_rows", Op::kGatherSubRows, {{5, 3}},
+       [](const V& l) { return ops::gather_sub_rows(l[0], {1, 2, 0, 4, 3, 3}, {0, 2, 4}, 2); },
+       bad_indices(5,
+                   {[](const V& l, I b) { return ops::gather_sub_rows(l[0], {0, b}, {1}, 2); },
+                    [](const V& l, I b) { return ops::gather_sub_rows(l[0], {0, 1}, {b}, 2); }})},
+      {"repeat_rows", Op::kRepeatRows, {{3, 2}},
+       [](const V& l) { return ops::repeat_rows(l[0], 3); }},
+      {"concat_cols", Op::kConcatCols, {{4, 2}, {4, 3}},
        [](const V& l) { return ops::concat_cols(l[0], l[1]); }},
-      {"concat_cols4", {{3, 1}, {3, 2}, {3, 3}, {3, 1}},
+      {"concat_cols4", Op::kConcatCols4, {{3, 1}, {3, 2}, {3, 3}, {3, 1}},
        [](const V& l) { return ops::concat_cols4(l[0], l[1], l[2], l[3]); }},
-      {"slice_cols", {{4, 5}}, [](const V& l) { return ops::slice_cols(l[0], 1, 4); }},
-      {"scatter_add_cols", {{4, 5}, {4, 2}},
+      {"slice_cols", Op::kSliceCols, {{4, 5}},
+       [](const V& l) { return ops::slice_cols(l[0], 1, 4); }},
+      {"scatter_add_cols", Op::kScatterAddCols, {{4, 5}, {4, 2}},
        [](const V& l) { return ops::scatter_add_cols(l[0], l[1], 2); }},
-      {"edge_linear", {{4, 3}, {6, 2}, {2}},
+      {"segment_max", Op::kSegmentMax, {{8, 3}},
+       [](const V& l) { return ops::segment_max(l[0], 2); },
+       {[](const V& l) { return ops::segment_max(l[0], 3); },
+        [](const V& l) { return ops::segment_max(l[0], 0); }},
+       -1.0f, true},
+      {"segment_sum", Op::kSegmentSum, {{6, 3}},
+       [](const V& l) { return ops::segment_sum(l[0], 3); },
+       {[](const V& l) { return ops::segment_sum(l[0], 4); },
+        [](const V& l) { return ops::segment_sum(l[0], 0); }}},
+      {"segment_softmax", Op::kSegmentSoftmax, {{6, 3}},
+       [](const V& l) { return ops::segment_softmax(l[0], 3); },
+       {[](const V& l) { return ops::segment_softmax(l[0], 4); },
+        [](const V& l) { return ops::segment_softmax(l[0], 0); }}},
+      {"attentive_pool", Op::kAttentivePool, {{6, 3}, {6, 3}},
+       [](const V& l) { return ops::attentive_pool(l[0], l[1], 3); },
+       {[](const V& l) { return ops::attentive_pool(l[0], l[1], 4); },
+        [](const V& l) { return ops::attentive_pool(l[0], l[1], 0); },
+        [](const V& l) { return ops::attentive_pool(l[0], Tensor::zeros({6, 2}), 3); }},
+       -1.0f, true},
+      {"batch_norm", Op::kBatchNorm, {{5, 3}, {3}, {3}},
        [](const V& l) {
-         return ops::edge_linear(l[0], l[1], l[2], {1, 2, 0, 3, 3, 1, 2, 0}, 2);
+         std::vector<float> mean(3, 0.0f), var(3, 1.0f);
+         return ops::batch_norm(l[0], l[1], l[2], mean, var, /*training=*/true);
        }},
-      {"edge_linear_no_bias", {{4, 3}, {6, 2}},
+      {"batch_norm_eval", Op::kBatchNorm, {{4, 3}, {3}, {3}},
+       [](const V& l) {
+         std::vector<float> mean = kMean, var = kVar;
+         return ops::batch_norm(l[0], l[1], l[2], mean, var, /*training=*/false);
+       }},
+      {"bn_relu_eval", Op::kBnReluEval, {{4, 3}, {3}, {3}},
+       [](const V& l) { return ops::bn_relu_eval(l[0], l[1], l[2], kMean, kVar); }},
+      {"dropout", Op::kDropout, {{4, 3}},
+       [](const V& l) {
+         Rng rng(7);  // the same mask on every build
+         return ops::dropout(l[0], 0.25f, rng, /*training=*/true);
+       }},
+      {"edge_linear", Op::kEdgeLinear, {{4, 3}, {6, 2}, {2}},
+       [](const V& l) { return ops::edge_linear(l[0], l[1], l[2], {1, 2, 0, 3, 3, 1, 2, 0}, 2); },
+       bad_indices(4, {[](const V& l, I b) {
+         return ops::edge_linear(l[0], l[1], l[2], {0, 1, 2, 3, 0, 1, 2, b}, 2);
+       }})},
+      {"edge_linear_no_bias", Op::kEdgeLinear, {{4, 3}, {6, 2}},
        [](const V& l) {
          return ops::edge_linear(l[0], l[1], Tensor(), {1, 2, 0, 3, 3, 1, 2, 0}, 2);
        }},
-      {"edge_conv_eval", {{4, 3}, {6, 2}, {2}, {2}, {2}},
+      {"edge_conv_eval", Op::kEdgeConvEval, {{4, 3}, {6, 2}, {2}, {2}, {2}},
        [](const V& l) {
          return ops::edge_conv_eval(l[0], l[1], l[4], l[2], l[3], kMean2, kVar2,
                                     {1, 2, 0, 3, 3, 1, 2, 0}, 2);
-       }},
-      {"edge_conv_eval_no_bias", {{4, 3}, {6, 2}, {2}, {2}},
+       },
+       bad_indices(4,
+                   {[](const V& l, I b) {
+                     return ops::edge_conv_eval(l[0], l[1], l[4], l[2], l[3], kMean2, kVar2,
+                                                {1, 2, 0, 3, 3, 1, 2, b}, 2);
+                   }},
+                   // k is the group width: positive, with N*k neighbor indices.
+                   {[](const V& l) {
+                      return ops::edge_conv_eval(l[0], l[1], l[4], l[2], l[3], kMean2, kVar2,
+                                                 {}, 0);
+                    },
+                    [](const V& l) {
+                      return ops::edge_conv_eval(l[0], l[1], l[4], l[2], l[3], kMean2, kVar2,
+                                                 {1, 2, 0, 3, 3, 1, 2}, 2);
+                    }}),
+       -1.0f, true},
+      {"edge_conv_eval_no_bias", Op::kEdgeConvEval, {{4, 3}, {6, 2}, {2}, {2}},
        [](const V& l) {
          return ops::edge_conv_eval(l[0], l[1], Tensor(), l[2], l[3], kMean2, kVar2,
                                     {1, 2, 0, 3, 3, 1, 2, 0}, 2);
-       }},
-      {"neighbor_linear", {{6, 2}, {4, 3}, {5, 2}, {2}},
-       [](const V& l) {
-         return ops::neighbor_linear(l[0], l[1], l[2], l[3], {3, 0, 2, 2, 1, 3});
-       }},
-      {"neighbor_linear_no_bias", {{6, 2}, {4, 3}, {5, 2}},
+       },
+       {}, -1.0f, true},
+      {"neighbor_linear", Op::kNeighborLinear, {{6, 2}, {4, 3}, {5, 2}, {2}},
+       [](const V& l) { return ops::neighbor_linear(l[0], l[1], l[2], l[3], {3, 0, 2, 2, 1, 3}); },
+       bad_indices(4, {[](const V& l, I b) {
+         return ops::neighbor_linear(l[0], l[1], l[2], l[3], {3, 0, 2, 2, 1, b});
+       }})},
+      {"neighbor_linear_no_bias", Op::kNeighborLinear, {{6, 2}, {4, 3}, {5, 2}},
        [](const V& l) {
          return ops::neighbor_linear(l[0], l[1], l[2], Tensor(), {3, 0, 2, 2, 1, 3});
        }},
-      {"attentive_pool", {{6, 3}, {6, 3}},
-       [](const V& l) { return ops::attentive_pool(l[0], l[1], 3); }},
-      {"gather_sub_rows", {{5, 3}},
+      {"log_softmax_rows", Op::kLogSoftmaxRows, {{4, 5}},
+       [](const V& l) { return ops::log_softmax_rows(l[0]); }},
+      // A masked-out row's label is never read, so its 99 is not checked.
+      {"nll_loss_masked", Op::kNllLossMasked, {{5, 4}},
+       [](const V& l) { return ops::nll_loss_masked(l[0], {0, 99, 1, 2, 3}, {1, 0, 1, 1, 1}); },
+       {[](const V& l) { return ops::nll_loss_masked(l[0], {0, 3, 1, 4, 3}, {}); },
+        [](const V& l) { return ops::nll_loss_masked(l[0], {0, 3, -1, 2, 3}, {}); },
+        [](const V& l) { return ops::nll_loss_masked(l[0], {0, 3, 1, 2, 3}, {0, 0, 0, 0, 0}); }}},
+      {"nll_loss_masked_no_mask", Op::kNllLossMasked, {{5, 4}},
+       [](const V& l) { return ops::nll_loss_masked(l[0], {0, 3, 1, 2, 3}, {}); }},
+      {"hinge_margin_loss", Op::kHingeMarginLoss, {{6, 4}},
        [](const V& l) {
-         return ops::gather_sub_rows(l[0], {1, 2, 0, 4, 3, 3}, {0, 2, 4}, 2);
-       }},
-      {"mul_rows", {{4, 3}, {4, 1}}, [](const V& l) { return ops::mul_rows(l[0], l[1]); }},
-      {"segment_max", {{8, 3}}, [](const V& l) { return ops::segment_max(l[0], 2); },
-       -1.0f, true},
-      {"segment_sum", {{6, 3}}, [](const V& l) { return ops::segment_sum(l[0], 3); }},
-      {"segment_softmax", {{6, 3}},
-       [](const V& l) { return ops::segment_softmax(l[0], 3); }},
-      {"log_softmax_rows", {{4, 5}}, [](const V& l) { return ops::log_softmax_rows(l[0]); }},
-      {"nll_loss_masked", {{5, 4}},
-       [](const V& l) {
-         return ops::nll_loss_masked(l[0], {0, 3, 1, 2, 3}, {1, 0, 1, 1, 1});
-       }},
-      {"hinge_margin_loss", {{6, 4}},
-       [](const V& l) {
-         return ops::hinge_margin_loss(l[0], {0, 1, 2, 3, 0, 1}, {1, 1, 0, 1, 1, 1}, false);
+         return ops::hinge_margin_loss(l[0], {0, 1, 99, 3, 0, 1}, {1, 1, 0, 1, 1, 1}, false);
        },
+       {[](const V& l) { return ops::hinge_margin_loss(l[0], {0}, {}, false); },
+        [](const V& l) { return ops::hinge_margin_loss(l[0], {0, 1, 9, 3, 0, 1}, {}, false); },
+        [](const V&) { return ops::hinge_margin_loss(Tensor::zeros({2, 1}), {0, 0}, {}, false); }},
        -1.0f, true},
-      {"hinge_margin_loss_targeted", {{6, 4}},
-       [](const V& l) {
-         return ops::hinge_margin_loss(l[0], {0, 1, 2, 3, 0, 1}, {}, true);
-       },
+      {"hinge_margin_loss_targeted", Op::kHingeMarginLoss, {{6, 4}},
+       [](const V& l) { return ops::hinge_margin_loss(l[0], {0, 1, 2, 3, 0, 1}, {}, true); },
+       {[](const V& l) { return ops::hinge_margin_loss(l[0], {0, 1, -7, 3, 0, 1}, {}, true); }},
        -1.0f, true},
-      {"smoothness_penalty", {{5, 3}},
-       [](const V& l) {
-         return ops::smoothness_penalty(l[0], {1, 2, 0, 3, 4, 1, 2, 0, 3, 1}, 2);
-       }},
-      {"bn_relu_eval", {{4, 3}, {3}, {3}},
-       [](const V& l) { return ops::bn_relu_eval(l[0], l[1], l[2], kMean, kVar); }},
+      {"smoothness_penalty", Op::kSmoothnessPenalty, {{5, 3}},
+       [](const V& l) { return ops::smoothness_penalty(l[0], {1, 2, 0, 3, 4, 1, 2, 0, 3, 1}, 2); },
+       bad_indices(5, {[](const V& l, I b) {
+         return ops::smoothness_penalty(l[0], {1, 2, 0, 3, 4, 1, 2, 0, 3, b}, 2);
+       }})},
   };
   return rows;
+}
+
+std::string row_name(const ::testing::TestParamInfo<OpRow>& info) { return info.param.name; }
+
+TEST(OpTable, EveryOpHasARow) {
+  for (int i = 1; i < static_cast<int>(Op::kCount); ++i) {
+    const Op op = static_cast<Op>(i);
+    EXPECT_TRUE(std::any_of(op_rows().begin(), op_rows().end(),
+                            [op](const OpRow& row) { return row.op == op; }))
+        << "no op row for " << pcss::tensor::op_def(op).name;
+  }
 }
 
 class ReplayContract : public ::testing::TestWithParam<OpRow> {};
@@ -363,12 +482,16 @@ TEST_P(ReplayContract, ReplayMatchesFreshEagerBuild) {
 
   plan::PlanBuilder builder;
   const Tensor out = row.build(leaves);
+  ASSERT_EQ(out.impl()->op, row.op) << "the row must build its op";
   Tensor loss = weighted_sum(out);
   loss.backward();
   plan::CompiledPlan compiled;
-  ASSERT_TRUE(builder.finish(compiled)) << "every op with a ForwardFn must be capturable";
-  const std::vector<std::int64_t> captured_state = out.impl()->ctx ? out.impl()->ctx->ibuf
-                                                                   : std::vector<std::int64_t>{};
+  if (pcss::tensor::op_def(row.op).fwd == nullptr) {
+    EXPECT_FALSE(builder.finish(compiled)) << "an op with no forward rule is never captured";
+    return;
+  }
+  ASSERT_TRUE(builder.finish(compiled)) << "every op with a forward rule must be capturable";
+  const std::vector<unsigned char> captured_state = saved_state(out);
 
   for (std::uint64_t seed : {2u, 3u}) {
     const std::vector<Tensor> fresh = make_leaves(row, seed, true);
@@ -378,16 +501,20 @@ TEST_P(ReplayContract, ReplayMatchesFreshEagerBuild) {
     compiled.replay_forward();
     compiled.replay_backward();
     if (row.value_state && seed == 2u) {
-      EXPECT_NE(out.impl()->ctx->ibuf, captured_state)
+      EXPECT_NE(saved_state(out), captured_state)
           << "the mutation must change the value-dependent saved state";
     }
 
+    // Built under a PlanBuilder, so backward() keeps the node's saved state.
+    plan::PlanBuilder keep_graph;
     const Tensor eager_out = row.build(fresh);
     Tensor eager_loss = weighted_sum(eager_out);
     eager_loss.backward();
+    keep_graph.abort();
     ASSERT_EQ(out.shape(), eager_out.shape());
     EXPECT_TRUE(same_bytes(out.data(), eager_out.data(), out.numel())) << "seed " << seed;
     EXPECT_TRUE(same_bytes(loss.data(), eager_loss.data(), 1)) << "seed " << seed;
+    EXPECT_EQ(saved_state(out), saved_state(eager_out)) << "saved state, seed " << seed;
     for (size_t i = 0; i < leaves.size(); ++i) {
       ASSERT_EQ(leaves[i].grad().size(), fresh[i].grad().size()) << "leaf " << i;
       EXPECT_TRUE(same_bytes(leaves[i].grad().data(), fresh[i].grad().data(),
@@ -403,15 +530,41 @@ TEST_P(ReplayContract, PredictModeNodeIsGraphFree) {
   EXPECT_FALSE(out.requires_grad());
   EXPECT_TRUE(out.impl()->parents.empty());
   EXPECT_EQ(out.impl()->ctx, nullptr);
-  EXPECT_EQ(out.impl()->forward_fn, nullptr);
-  EXPECT_EQ(out.impl()->backward_fn, nullptr);
+  EXPECT_EQ(out.impl()->op, Op::kNone);
   // Same value as the grad-carrying build of the same inputs.
   const Tensor with_grad = row.build(make_leaves(row, 4, true));
   EXPECT_TRUE(same_bytes(out.data(), with_grad.data(), out.numel()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Ops, ReplayContract, ::testing::ValuesIn(op_rows()),
-                         [](const auto& param_info) { return std::string(param_info.param.name); });
+INSTANTIATE_TEST_SUITE_P(Ops, ReplayContract, ::testing::ValuesIn(op_rows()), row_name);
+
+class OpRules : public ::testing::TestWithParam<OpRow> {};
+
+TEST_P(OpRules, GradcheckEveryLeaf) {
+  const OpRow& row = GetParam();
+  const std::vector<Tensor> leaves = make_leaves(row, 5, false);
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    SCOPED_TRACE("leaf " + std::to_string(i));
+    const Tensor& leaf = leaves[i];
+    pcss::testing::expect_gradcheck(
+        [&](const Tensor& x) {
+          std::vector<Tensor> l = leaves;
+          l[i] = x;
+          return weighted_sum(row.build(l));
+        },
+        leaf.shape(), std::vector<float>(leaf.data(), leaf.data() + leaf.numel()));
+  }
+}
+
+TEST_P(OpRules, RejectsBadInputs) {
+  const OpRow& row = GetParam();
+  const std::vector<Tensor> leaves = make_leaves(row, 6, false);
+  for (size_t i = 0; i < row.rejects.size(); ++i) {
+    EXPECT_THROW(row.rejects[i](leaves), std::runtime_error) << "reject case " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, OpRules, ::testing::ValuesIn(op_rows()), row_name);
 
 // --- Engine byte-identity per model family --------------------------------
 

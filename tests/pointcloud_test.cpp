@@ -9,6 +9,7 @@
 #include "pcss/pointcloud/knn.h"
 #include "pcss/pointcloud/point_cloud.h"
 #include "pcss/pointcloud/sampling.h"
+#include "temp_dir.h"
 
 using namespace pcss::pointcloud;
 using pcss::tensor::Rng;
@@ -68,8 +69,8 @@ TEST(PointCloudTest, ValidateAndClamp) {
 
 TEST(PointCloudIo, XyzRgblRoundTrip) {
   PointCloud cloud = make_grid_cloud(4);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pcss_io_test.txt").string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("cloud.txt");
   save_xyzrgbl(cloud, path);
   PointCloud loaded = load_xyzrgbl(path);
   ASSERT_EQ(loaded.size(), cloud.size());
@@ -78,19 +79,17 @@ TEST(PointCloudIo, XyzRgblRoundTrip) {
                     cloud.positions[static_cast<size_t>(i)][0]);
     EXPECT_EQ(loaded.labels[static_cast<size_t>(i)], cloud.labels[static_cast<size_t>(i)]);
   }
-  std::remove(path.c_str());
 }
 
 TEST(PointCloudIo, PlyHeaderWritten) {
   PointCloud cloud = make_grid_cloud(2);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pcss_io_test.ply").string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("cloud.ply");
   save_ply(cloud, path);
   std::ifstream in(path);
   std::string first;
   std::getline(in, first);
   EXPECT_EQ(first, "ply");
-  std::remove(path.c_str());
 }
 
 TEST(PointCloudIo, MissingFileThrows) {

@@ -21,6 +21,7 @@
 #include "pcss/pointcloud/sampling.h"
 #include "pcss/tensor/ops.h"
 #include "pcss/tensor/optim.h"
+#include "temp_dir.h"
 
 namespace ops = pcss::tensor::ops;
 using pcss::tensor::Rng;
@@ -419,9 +420,8 @@ TEST_P(IoSweep, RoundTripPreservesEverything) {
   pcss::data::OutdoorSceneGenerator gen({.num_points = 50});
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const auto cloud = gen.generate(rng);
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("pcss_prop_io_" + std::to_string(GetParam()) + ".txt"))
-                               .string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("cloud.txt");
   save_xyzrgbl(cloud, path);
   const auto loaded = load_xyzrgbl(path);
   ASSERT_EQ(loaded.size(), cloud.size());
@@ -434,7 +434,6 @@ TEST_P(IoSweep, RoundTripPreservesEverything) {
                   cloud.colors[static_cast<size_t>(i)][a], 1e-5f);
     }
   }
-  std::filesystem::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IoSweep, ::testing::Range(1, 4));

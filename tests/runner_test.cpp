@@ -23,6 +23,7 @@
 #include "pcss/runner/hash.h"
 #include "pcss/runner/json.h"
 #include "pcss/runner/result_store.h"
+#include "temp_dir.h"
 #include "tiny_provider.h"
 
 namespace {
@@ -36,21 +37,11 @@ using pcss_tests::mini_spec;
 using pcss_tests::tiny_options;
 using pcss_tests::tiny_scale;
 
-/// Fresh store root per test, removed on teardown.
+/// Fresh store root per test, inside the test's own directory.
 class RunnerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = (fs::temp_directory_path() /
-             ("pcss_runner_test_" +
-              std::string(::testing::UnitTest::GetInstance()->current_test_info()->name())))
-                .string();
-    fs::remove_all(root_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(root_, ec);
-  }
-  std::string root_;
+  pcss::testing::TempDir dir_;
+  std::string root_ = dir_.file("store");
 };
 
 TEST(RunnerJson, RoundTripsNestedValues) {

@@ -32,6 +32,7 @@
 #include "pcss/runner/result_store.h"
 #include "pcss/serve/config.h"
 #include "pcss/serve/protocol.h"
+#include "temp_dir.h"
 #include "tiny_provider.h"
 
 extern char** environ;
@@ -277,23 +278,12 @@ std::string reference_document(const std::string& store_root, const std::string&
 /// a test failed before its orderly shutdown.
 class ServeTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    root_ = (fs::temp_directory_path() /
-             (std::string("pcss_serve_") + info->test_suite_name() + "_" + info->name()))
-                .string();
-    fs::remove_all(root_);
-    fs::create_directories(root_);
-  }
-
   void TearDown() override {
     if (daemon_ > 0) {
       ::kill(daemon_, SIGKILL);
       wait_status(daemon_);
       daemon_ = -1;
     }
-    std::error_code ec;
-    fs::remove_all(root_, ec);
   }
 
   std::string sock() const { return root_ + "/serve.sock"; }
@@ -317,7 +307,8 @@ class ServeTest : public ::testing::Test {
     daemon_ = -1;
   }
 
-  std::string root_;
+  pcss::testing::TempDir dir_;
+  std::string root_ = dir_.path();
   pid_t daemon_ = -1;
 };
 

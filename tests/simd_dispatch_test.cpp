@@ -28,6 +28,7 @@
 #include "pcss/tensor/pool.h"
 #include "pcss/tensor/simd.h"
 #include "pcss/tensor/tensor.h"
+#include "temp_dir.h"
 
 namespace {
 
@@ -860,9 +861,8 @@ pcss::runner::RunOptions tiny_options() {
 TEST(SimdBitExact, RunnerDocumentBytesAndWarmCacheAcrossIsas) {
   if (simd::avx2_kernels() == nullptr) GTEST_SKIP() << "AVX2 unavailable here";
   IsaGuard guard;
-  const std::string root =
-      (fs::temp_directory_path() / "pcss_simd_doc_identity").string();
-  fs::remove_all(root);
+  const pcss::testing::TempDir tmp;
+  const std::string root = tmp.path();
 
   TinyProvider provider;
   const auto spec = tiny_spec();
@@ -885,8 +885,6 @@ TEST(SimdBitExact, RunnerDocumentBytesAndWarmCacheAcrossIsas) {
   EXPECT_EQ(warm.attack_steps, 0)
       << "avx2 rerun over a scalar-warmed store must be a pure cache hit";
   EXPECT_EQ(warm.json, scalar_run.json);
-
-  fs::remove_all(root);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ namespace ops = pcss::tensor::ops;
 using pcss::tensor::Rng;
 using pcss::tensor::Shape;
 using pcss::tensor::Tensor;
-using pcss::testing::expect_gradcheck;
 using pcss::testing::random_values;
 
 namespace {
@@ -199,185 +198,9 @@ TEST(OpsForward, ScatterAddCols) {
 }
 
 // ---------------------------------------------------------------------------
-// Gradient checks (finite differences) for every differentiable op.
+// Gradients: every op's finite-difference gradcheck is its op row in
+// plan_test.cpp (OpRules.GradcheckEveryLeaf); dropout's mask stays here.
 // ---------------------------------------------------------------------------
-
-TEST(OpsGradcheck, Elementwise) {
-  Rng rng(11);
-  const Shape shape{3, 4};
-  auto other = Tensor::from_data(shape, random_values(12, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::add(x, other)); }, shape,
-                   random_values(12, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::sub(other, x)); }, shape,
-                   random_values(12, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::mul(x, other)); }, shape,
-                   random_values(12, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::mul(x, x)); }, shape,
-                   random_values(12, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::scale(x, -1.7f)); }, shape,
-                   random_values(12, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::square(x)); }, shape,
-                   random_values(12, rng));
-}
-
-TEST(OpsGradcheck, Nonlinearities) {
-  Rng rng(13);
-  const Shape shape{2, 5};
-  // Keep relu inputs away from the kink.
-  std::vector<float> vals = random_values(10, rng, 0.2f, 1.0f);
-  for (size_t i = 0; i < vals.size(); i += 2) vals[i] = -vals[i];
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::relu(x)); }, shape, vals);
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::tanh_op(x)); }, shape,
-                   random_values(10, rng));
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::sqrt_op(x, 1e-6f)); }, shape,
-                   random_values(10, rng, 0.5f, 2.0f));
-}
-
-TEST(OpsGradcheck, MatmulBothSides) {
-  Rng rng(17);
-  Tensor b = Tensor::from_data({4, 2}, random_values(8, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::matmul(x, b)); }, {3, 4},
-                   random_values(12, rng));
-  Tensor a = Tensor::from_data({3, 4}, random_values(12, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::matmul(a, x)); }, {4, 2},
-                   random_values(8, rng));
-}
-
-TEST(OpsGradcheck, AddRowvecBothSides) {
-  Rng rng(19);
-  Tensor bias = Tensor::from_data({3}, random_values(3, rng));
-  expect_gradcheck([&](const Tensor& x) { return ops::sum(ops::add_rowvec(x, bias)); },
-                   {4, 3}, random_values(12, rng));
-  Tensor x0 = Tensor::from_data({4, 3}, random_values(12, rng));
-  expect_gradcheck(
-      [&](const Tensor& b) { return ops::sum(ops::mul(ops::add_rowvec(x0, b),
-                                                      ops::add_rowvec(x0, b))); },
-      {3}, random_values(3, rng));
-}
-
-TEST(OpsGradcheck, StructureOps) {
-  Rng rng(23);
-  expect_gradcheck(
-      [](const Tensor& x) { return ops::sum(ops::square(ops::gather_rows(x, {2, 0, 2, 1}))); },
-      {3, 2}, random_values(6, rng));
-  expect_gradcheck(
-      [](const Tensor& x) { return ops::sum(ops::square(ops::repeat_rows(x, 3))); }, {2, 2},
-      random_values(4, rng));
-  Tensor other = Tensor::from_data({3, 2}, random_values(6, rng));
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        return ops::sum(ops::square(ops::concat_cols(x, other)));
-      },
-      {3, 2}, random_values(6, rng));
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        return ops::sum(ops::square(ops::concat_cols(other, x)));
-      },
-      {3, 2}, random_values(6, rng));
-  expect_gradcheck(
-      [](const Tensor& x) { return ops::sum(ops::square(ops::slice_cols(x, 1, 3))); },
-      {3, 4}, random_values(12, rng));
-  expect_gradcheck(
-      [](const Tensor& x) {
-        return ops::sum(ops::square(
-            ops::weighted_gather_rows(x, {0, 1, 2, 1}, {0.3f, 0.7f, 0.6f, 0.4f}, 2)));
-      },
-      {3, 2}, random_values(6, rng));
-  Tensor base = Tensor::from_data({3, 5}, random_values(15, rng));
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        return ops::sum(ops::square(ops::scatter_add_cols(base, x, 2)));
-      },
-      {3, 2}, random_values(6, rng));
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::square(ops::row_sum(x))); },
-                   {4, 3}, random_values(12, rng));
-}
-
-TEST(OpsGradcheck, SegmentOps) {
-  Rng rng(29);
-  // Distinct values so segment_max argmaxes are stable under perturbation.
-  std::vector<float> vals(12);
-  for (size_t i = 0; i < vals.size(); ++i) {
-    vals[i] = static_cast<float>(i % 2 ? 1 : -1) * (0.3f + 0.21f * static_cast<float>(i));
-  }
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::square(ops::segment_max(x, 2))); },
-                   {6, 2}, vals);
-  expect_gradcheck([](const Tensor& x) { return ops::sum(ops::square(ops::segment_sum(x, 3))); },
-                   {6, 2}, random_values(12, rng));
-  expect_gradcheck(
-      [](const Tensor& x) {
-        Tensor w = ops::segment_softmax(x, 3);
-        return ops::sum(ops::square(w));
-      },
-      {6, 2}, random_values(12, rng));
-}
-
-TEST(OpsGradcheck, LogSoftmaxAndNll) {
-  Rng rng(31);
-  expect_gradcheck(
-      [](const Tensor& x) { return ops::sum(ops::square(ops::log_softmax_rows(x))); },
-      {3, 4}, random_values(12, rng));
-  const std::vector<int> labels{1, 3, 0};
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        return ops::nll_loss_masked(ops::log_softmax_rows(x), labels, {});
-      },
-      {3, 4}, random_values(12, rng));
-  const std::vector<std::uint8_t> mask{1, 0, 1};
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        return ops::nll_loss_masked(ops::log_softmax_rows(x), labels, mask);
-      },
-      {3, 4}, random_values(12, rng));
-}
-
-TEST(OpsGradcheck, HingeMarginLoss) {
-  Rng rng(37);
-  const std::vector<int> labels{0, 2, 1, 2};
-  // Well-separated logits keep the active set stable under perturbation.
-  std::vector<float> vals{0.9f, 0.1f, -0.4f, 0.2f, 0.8f, -0.9f,
-                          1.4f, 0.3f, -0.2f, -0.6f, 0.5f, 1.2f};
-  expect_gradcheck(
-      [&](const Tensor& x) { return ops::hinge_margin_loss(x, labels, {}, true); }, {4, 3},
-      vals);
-  expect_gradcheck(
-      [&](const Tensor& x) { return ops::hinge_margin_loss(x, labels, {}, false); }, {4, 3},
-      vals);
-  const std::vector<std::uint8_t> mask{1, 1, 0, 1};
-  expect_gradcheck(
-      [&](const Tensor& x) { return ops::hinge_margin_loss(x, labels, mask, false); },
-      {4, 3}, vals);
-}
-
-TEST(OpsGradcheck, SmoothnessPenalty) {
-  // 4 points, alpha=2 neighbors, well separated to avoid the sqrt kink.
-  const std::vector<std::int64_t> nbr{1, 2, 0, 3, 3, 0, 2, 1};
-  std::vector<float> vals{0.0f, 0.0f, 1.0f, 0.2f, 0.1f, 1.3f, 1.2f, 1.1f};
-  expect_gradcheck(
-      [&](const Tensor& x) { return ops::smoothness_penalty(x, nbr, 2); }, {4, 2}, vals,
-      1e-3f, 3e-2f);
-}
-
-TEST(OpsGradcheck, BatchNormTrainingAndEval) {
-  Rng rng(41);
-  Tensor gamma = Tensor::from_data({3}, {1.2f, 0.8f, 1.0f});
-  Tensor beta = Tensor::from_data({3}, {0.1f, -0.2f, 0.0f});
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        std::vector<float> rm(3, 0.0f), rv(3, 1.0f);
-        return ops::sum(
-            ops::square(ops::batch_norm(x, gamma, beta, rm, rv, /*training=*/true)));
-      },
-      {5, 3}, random_values(15, rng), 1e-3f, 5e-2f);
-  std::vector<float> rm{0.1f, -0.3f, 0.2f}, rv{1.5f, 0.7f, 1.1f};
-  expect_gradcheck(
-      [&](const Tensor& x) {
-        std::vector<float> rm2 = rm, rv2 = rv;
-        return ops::sum(
-            ops::square(ops::batch_norm(x, gamma, beta, rm2, rv2, /*training=*/false)));
-      },
-      {5, 3}, random_values(15, rng));
-}
 
 TEST(OpsGradcheck, DropoutEvalIsIdentity) {
   Rng rng(43);

@@ -81,7 +81,7 @@ TEST(BufferPool, BackwardReleasesGraphEarly) {
   root.backward();
   EXPECT_FLOAT_EQ(held.at(1), 6.0f);
   EXPECT_TRUE(held.impl()->parents.empty());
-  EXPECT_EQ(held.impl()->backward_fn, nullptr);
+  EXPECT_EQ(held.impl()->op, pcss::tensor::Op::kNone);
 }
 
 /// One attack-style step: fresh delta leaf, forward-ish chain, scalar

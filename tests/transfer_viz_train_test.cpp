@@ -9,6 +9,7 @@
 #include "pcss/train/checkpoint.h"
 #include "pcss/train/trainer.h"
 #include "pcss/viz/render.h"
+#include "temp_dir.h"
 
 using pcss::data::IndoorSceneGenerator;
 using pcss::models::ResGCNConfig;
@@ -51,8 +52,8 @@ TEST(Viz, ImagePixelRoundTrip) {
 
 TEST(Viz, SavePpmWritesHeaderAndPayload) {
   pcss::viz::Image img(4, 3);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pcss_viz_test.ppm").string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("image.ppm");
   img.save_ppm(path);
   std::ifstream in(path, std::ios::binary);
   std::string magic;
@@ -60,7 +61,6 @@ TEST(Viz, SavePpmWritesHeaderAndPayload) {
   EXPECT_EQ(magic, "P6");
   in.seekg(0, std::ios::end);
   EXPECT_GE(in.tellg(), static_cast<std::streamoff>(4 * 3 * 3));
-  std::filesystem::remove(path);
 }
 
 TEST(Viz, HstackDimensions) {
@@ -133,8 +133,8 @@ TEST(Checkpoint, MissingFileAndMismatchDetected) {
   small.channels = 8;
   small.blocks = 1;
   ResGCNSeg a(small, init);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "pcss_ckpt_mismatch.bin").string();
+  const pcss::testing::TempDir tmp;
+  const std::string path = tmp.file("model.bin");
   pcss::train::save_checkpoint(a, path);
   EXPECT_TRUE(pcss::train::checkpoint_exists(path));
 

@@ -24,6 +24,7 @@
 #include "pcss/runner/executor.h"
 #include "pcss/runner/lease.h"
 #include "pcss/runner/result_store.h"
+#include "temp_dir.h"
 #include "tiny_provider.h"
 
 extern "C" char** environ;
@@ -94,21 +95,11 @@ int run_fixture(const std::vector<std::string>& args, const std::string& chaos =
 
 bool exited_zero(int status) { return WIFEXITED(status) && WEXITSTATUS(status) == 0; }
 
-/// Fresh directory per test, removed on teardown.
+/// Fresh store root per test, inside the test's own directory.
 class TempStoreTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    root_ = (fs::temp_directory_path() /
-             (std::string("pcss_worker_") + info->test_suite_name() + "_" + info->name()))
-                .string();
-    fs::remove_all(root_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(root_, ec);
-  }
-  std::string root_;
+  pcss::testing::TempDir dir_;
+  std::string root_ = dir_.file("store");
 };
 
 class WorkerLeaseTest : public TempStoreTest {};
